@@ -171,6 +171,11 @@ class RunConfig:
             ("transition_flat_length", self.transition_flat_length >= 0),
             ("transition_ramp_length", self.transition_ramp_length > 0),
         ]
+        # inf passes every one-sided bound above, so non-finite values are
+        # rejected first, naming the offending key.
+        checks = [(f.name, math.isfinite(getattr(self, f.name)))
+                  for f in fields(self)
+                  if isinstance(getattr(self, f.name), float)] + checks
         for key, ok in checks:
             if not ok:
                 raise ConfigError(

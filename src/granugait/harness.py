@@ -119,34 +119,38 @@ class SweepResult:
 
 
 def run_sweep(cfg: RunConfig, out_dir=None):
-    """Speed vs body phase offset across depths; reports per-depth argmax."""
+    """Speed vs body phase offset across depths; reports per-depth argmax.
+
+    Without a controller the seed only feeds the sensor noise, which speed
+    does not read, so each (depth, phi) cell is simulated once and its
+    speeds are reported for every trial index.
+    """
     if not cfg.phi_grid:
         raise ValueError("phi grid must be nonempty")
     rows, failures = [], []
     cell_means = {}
-    for di, depth in enumerate(cfg.depths):
+    for depth in cfg.depths:
         terrain = TerrainProfile.constant(depth)
-        for pi, phi in enumerate(cfg.phi_grid):
-            speeds = []
+        for phi in cfg.phi_grid:
+            try:
+                rec = simulate_trial(
+                    cfg.gait(phi), terrain, n_cycles=cfg.sweep_cycles,
+                    seed=0, robot=cfg.robot(), ground=cfg.ground(),
+                    steps_per_cycle=cfg.steps_per_cycle,
+                    load_cfg=cfg.load_cfg(noise_cov=0.0),
+                    clamp_limit=cfg.effective_clamp,
+                    blend_frac=cfg.blend_frac,
+                )
+            except SolverError as err:
+                failures.extend((depth, phi, trial, str(err))
+                                for trial in range(cfg.sweep_trials))
+                continue
             for trial in range(cfg.sweep_trials):
-                seed = _subseed(cfg.seed, di, pi, trial)
-                try:
-                    rec = simulate_trial(
-                        cfg.gait(phi), terrain, n_cycles=cfg.sweep_cycles,
-                        seed=seed, robot=cfg.robot(), ground=cfg.ground(),
-                        steps_per_cycle=cfg.steps_per_cycle,
-                        load_cfg=cfg.load_cfg(),
-                        clamp_limit=cfg.effective_clamp,
-                        blend_frac=cfg.blend_frac,
-                    )
-                except SolverError as err:
-                    failures.append((depth, phi, trial, str(err)))
-                    continue
                 for c, s in enumerate(rec.cycle_speed_blc):
                     rows.append((float(depth), float(phi), trial, c, float(s)))
-                speeds.append(rec.cycle_speed_blc.mean())
-            if speeds:
-                cell_means[(depth, phi)] = float(np.mean(speeds))
+            # Mean over the trial copies, to the last bit as per-trial runs.
+            speeds = [rec.cycle_speed_blc.mean()] * cfg.sweep_trials
+            cell_means[(depth, phi)] = float(np.mean(speeds))
     argmax_phi = {}
     for depth in cfg.depths:
         cells = {phi: m for (d, phi), m in cell_means.items() if d == depth}

@@ -5,6 +5,11 @@ the net ground-reaction force and yaw moment vanish (inertia is neglected).
 Thrust arises from the interplay of the commanded body wave, the trot
 stance pattern, and the depth-blended reaction-force law; joint torques are
 extracted post hoc from the resolved element forces.
+
+Each contact force is minus the velocity gradient of a convex dissipation
+potential and contact velocities are affine in the twist, so the balance
+minimises a strictly convex function of the twist.  The solver runs damped
+Newton on it, with the quadratic drag share precomputed and no fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from .model import GroundModel, RobotModel, TerrainProfile, blend_ratio
 
 RESIDUAL_TOL = 1e-8      # nondimensional acceptance bound per step
 NEWTON_TOL = 1e-11       # solver target, well inside the acceptance bound
-MAX_NEWTON_ITERS = 50
+MAX_NEWTON_ITERS = 200   # the potential falls at every step, so more is safe
+MAX_HALVINGS = 60        # line-search step halvings per Newton step
+ARMIJO_C1 = 1e-4         # sufficient-decrease fraction of the Armijo test
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +160,6 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
 # ---------------------------------------------------------------------------
 # Force balance
 
-def _velocities(xi, c):
-    r = c.pos - c.ref
-    spin = xi[2] * np.stack([-r[:, 1], r[:, 0]], axis=1)
-    return xi[:2] + spin + c.vshape
-
-
 def contact_forces(v, c, gm, mu):
     """Blended reaction force on every contact for given point velocities."""
     speed = np.linalg.norm(v, axis=1)
@@ -169,147 +170,150 @@ def contact_forces(v, c, gm, mu):
     return (1.0 - c.rho)[:, None] * f_coulomb + c.rho[:, None] * f_rft
 
 
+def _residual_scale(robot):
+    """Row scaling from net force and yaw moment to the residual."""
+    return np.array([1.0, 1.0, 1.0 / robot.body_length]) / (
+        robot.friction * robot.weight)
+
+
+def _pull_back(f, r):
+    """Net force and yaw moment of per-contact forces ``f`` at lever arms ``r``."""
+    q = f.T @ r
+    return np.append(f.sum(axis=0), q[1, 0] - q[0, 1])
+
+
 def _residual(xi, c, gm, robot):
-    v = _velocities(xi, c)
+    """Nondimensional net force and yaw moment at twist ``xi``, with the
+    contact forces and velocities."""
+    r = c.pos - c.ref
+    v = xi[:2] + xi[2] * np.stack([-r[:, 1], r[:, 0]], axis=1) + c.vshape
     F = contact_forces(v, c, gm, robot.friction)
-    r = c.pos - c.ref
-    f_scale = robot.friction * robot.weight
-    net_f = F.sum(axis=0) / f_scale
-    net_m = float(np.sum(r[:, 0] * F[:, 1] - r[:, 1] * F[:, 0]))
-    net_m /= f_scale * robot.body_length
-    return np.array([net_f[0], net_f[1], net_m]), F, v
+    return _pull_back(F, r) * _residual_scale(robot), F, v
 
 
-def _jacobian(xi, c, gm, robot):
-    """Analytic 3x3 Jacobian of the nondimensional residual in the twist."""
-    v = _velocities(xi, c)
-    speed = np.linalg.norm(v, axis=1)
-    n = len(c.pos)
-    eye = np.broadcast_to(np.eye(2), (n, 2, 2))
+def _assemble(blocks, feat):
+    """Sum of B_i^T H_i B_i over contacts, B_i = [[1, 0, -ry], [0, 1, rx]].
 
-    se = speed + gm.slip_eps
-    u = v / se[:, None]          # |u| <= 1, safe for any slip speed
-    uuT = np.einsum("ni,nj->nij", u, u)
-    inv_speed = np.where(speed > 1e-300, 1.0 / np.maximum(speed, 1e-300), 0.0)
-    d_coulomb = -robot.friction * c.normal[:, None, None] * (
-        eye / se[:, None, None] - uuT * inv_speed[:, None, None]
-    )
-    aaT = np.einsum("ni,nj->nij", c.axis, c.axis)
-    d_rft = -gm.rft_par * aaT - gm.rft_perp * (eye - aaT)
-    D = (1.0 - c.rho)[:, None, None] * d_coulomb + c.rho[:, None, None] * d_rft
-
-    r = c.pos - c.ref
-    B = np.zeros((n, 2, 3))
-    B[:, 0, 0] = 1.0
-    B[:, 1, 1] = 1.0
-    B[:, 0, 2] = -r[:, 1]
-    B[:, 1, 2] = r[:, 0]
-
-    DB = np.einsum("nij,njk->nik", D, B)
-    f_scale = robot.friction * robot.weight
-    J = np.empty((3, 3))
-    J[:2] = DB.sum(axis=0) / f_scale
-    lever = np.stack([-r[:, 1], r[:, 0]], axis=1)
-    J[2] = np.einsum("ni,nik->k", lever, DB) / (f_scale * robot.body_length)
-    return J
+    ``blocks`` holds the rows h11, h12, h22 of the symmetric 2x2 blocks H_i;
+    ``feat`` the columns [1, rx, ry, rx^2, ry^2, rx*ry] of the lever arms.
+    """
+    p = blocks @ feat
+    h02 = p[1, 1] - p[0, 2]
+    h12 = p[2, 1] - p[1, 2]
+    h22 = p[0, 4] - 2.0 * p[1, 5] + p[2, 3]
+    return np.array([[p[0, 0], p[1, 0], h02],
+                     [p[1, 0], p[2, 0], h12],
+                     [h02, h12, h22]])
 
 
-def _grid_search(c, gm, robot, box_v=1.0, box_w=4.0, n=13, center=None):
-    """Coarse brute-force minimizer of the residual norm over twist space."""
-    if center is None:
-        center = np.zeros(3)
-    vx = center[0] + np.linspace(-box_v, box_v, n)
-    vy = center[1] + np.linspace(-box_v, box_v, n)
-    wz = center[2] + np.linspace(-box_w, box_w, n)
-    best, best_norm = None, np.inf
-    for a in vx:
-        for b in vy:
-            for w in wz:
-                res, _, _ = _residual(np.array([a, b, w]), c, gm, robot)
-                nrm = float(res @ res)
-                if nrm < best_norm:
-                    best_norm, best = nrm, np.array([a, b, w])
-    return best
+class _Dissipation:
+    """Dissipation potential Psi(xi) of one contact set.
+
+    Psi sums (1 - rho) mu N (s - eps log(1 + s/eps)) with s = |v| over the
+    Coulomb share and rho v.D.v / 2 over the drag share, whose minus
+    velocity gradients are the two force laws of ``contact_forces``.  The
+    drag share is quadratic in the twist, so it is folded once into
+    ``0.5 xi.K.xi + k0.xi + c0``; an evaluation then visits only the
+    contacts with rho < 1.
+    """
+
+    def __init__(self, c, gm, mu):
+        r = c.pos - c.ref
+        rx, ry = r[:, 0], r[:, 1]
+        feat = np.stack([np.ones_like(rx), rx, ry, rx * rx, ry * ry, rx * ry],
+                        axis=1)
+        ax, ay = c.axis[:, 0], c.axis[:, 1]
+        dc = gm.rft_par - gm.rft_perp
+        drag = c.rho * np.stack([gm.rft_perp + dc * ax * ax, dc * ax * ay,
+                                 gm.rft_perp + dc * ay * ay])
+        wx, wy = c.vshape[:, 0], c.vshape[:, 1]
+        dw = np.stack([drag[0] * wx + drag[1] * wy,
+                       drag[1] * wx + drag[2] * wy], axis=1)
+        self.K = _assemble(drag, feat)
+        self.k0 = _pull_back(dw, r)
+        self.c0 = 0.5 * float(np.sum(dw * c.vshape))
+
+        coulomb = c.rho < 1.0
+        self.m = ((1.0 - c.rho) * mu * c.normal)[coulomb]
+        self.r = r[coulomb]
+        self.lever = np.stack([-ry, rx], axis=1)[coulomb]
+        self.w = c.vshape[coulomb]
+        self.feat = feat[coulomb]
+        self.eps = gm.slip_eps
+
+    def value(self, xi):
+        """Psi(xi), plus the Coulomb contacts' velocities and speeds."""
+        v = self.w + xi[:2] + xi[2] * self.lever
+        s = np.hypot(v[:, 0], v[:, 1])
+        psi = float(self.m @ (s - self.eps * np.log1p(s / self.eps)))
+        return psi + float(xi @ (0.5 * (self.K @ xi) + self.k0)) + self.c0, v, s
+
+    def derivatives(self, xi, v, s):
+        """Gradient and Hessian of Psi at ``xi``, from ``value(xi)``'s v, s."""
+        se = s + self.eps
+        k = self.m / se
+        grad = self.K @ xi + self.k0 + _pull_back(k[:, None] * v, self.r)
+        # Coulomb block k (I - (s/se) e e^T) with e = v/|v|, bounded at s = 0.
+        e = np.divide(v, s[:, None], out=np.zeros_like(v), where=s[:, None] > 0)
+        ks = k * s / se
+        blocks = np.stack([k - ks * e[:, 0] * e[:, 0], -ks * e[:, 0] * e[:, 1],
+                           k - ks * e[:, 1] * e[:, 1]])
+        return grad, self.K + _assemble(blocks, self.feat)
 
 
 def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
-    """Twist at which net force and yaw moment vanish.
+    """Twist at which net force and yaw moment vanish: the minimiser of the
+    strictly convex potential Psi of ``_Dissipation``, whose gradient is
+    minus the residual up to row scaling.
 
-    Damped Newton with an analytic Jacobian, warm-started from ``xi0``;
-    falls back to a refined grid search if Newton stalls.  Returns the
-    twist plus the per-contact forces, velocities, and residual inf-norm.
+    Damped Newton from ``xi0`` halves each step until it passes an Armijo
+    test on Psi, so Psi falls at every step and the solve converges from any
+    start, with no fallback.  A final ``_residual`` pass gives the returned
+    ``(xi, F, v, residual)``; a residual above RESIDUAL_TOL, or NaN, raises.
     """
     xi = np.zeros(3) if xi0 is None else np.array(xi0, dtype=float)
+    pot = _Dissipation(contacts, gm, robot.friction)
+    scale = _residual_scale(robot)
+    psi, v, s = pot.value(xi)
+    for _ in range(MAX_NEWTON_ITERS):
+        grad, hess = pot.derivatives(xi, v, s)
+        if not np.abs(scale * grad).max() >= NEWTON_TOL:
+            break   # converged, or NaN, which the final check rejects
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            break
+        slope = ARMIJO_C1 * float(grad @ step)
+        slack = 1e-13 * abs(psi)
+        lam = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = xi + lam * step
+            psi_t, v_t, s_t = pot.value(trial)
+            if psi_t <= psi + lam * slope + slack:
+                break
+            lam *= 0.5
+        else:
+            break
+        xi, psi, v, s = trial, psi_t, v_t, s_t
 
-    def newton(xi):
-        res, F, v = _residual(xi, contacts, gm, robot)
-        for _ in range(MAX_NEWTON_ITERS):
-            nrm = np.abs(res).max()
-            if nrm < NEWTON_TOL:
-                break
-            J = _jacobian(xi, contacts, gm, robot)
-            try:
-                step = np.linalg.solve(J, -res)
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            base = res @ res
-            improved = False
-            for _ in range(30):
-                trial = xi + lam * step
-                res_t, F_t, v_t = _residual(trial, contacts, gm, robot)
-                if res_t @ res_t < base:
-                    xi, res, F, v = trial, res_t, F_t, v_t
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
-                break
-        return xi, res, F, v
+    res, F, v = _residual(xi, contacts, gm, robot)
+    worst = float(np.abs(res).max())
+    if not worst <= RESIDUAL_TOL:
+        raise SolverError(
+            f"force balance did not converge (residual {worst:.3e})",
+            residual=worst,
+        )
+    return xi, F, v, worst
 
-    xi, res, F, v = newton(xi)
-    if np.abs(res).max() > RESIDUAL_TOL:
-        # Continuation: relax the Coulomb slip regularization, then tighten
-        # it back down, warm-starting each stage.
-        soft = np.zeros(3)
-        for factor in (1e3, 1e2, 1e1, 1.0):
-            gm_soft = GroundModel(gm.rft_par, gm.rft_perp,
-                                  gm.slip_eps * factor)
-            def newton_soft(x, g=gm_soft):
-                res0, F0, v0 = _residual(x, contacts, g, robot)
-                for _ in range(MAX_NEWTON_ITERS):
-                    if np.abs(res0).max() < NEWTON_TOL:
-                        break
-                    J = _jacobian(x, contacts, g, robot)
-                    try:
-                        step = np.linalg.solve(J, -res0)
-                    except np.linalg.LinAlgError:
-                        break
-                    lam, base, ok = 1.0, res0 @ res0, False
-                    for _ in range(30):
-                        trial = x + lam * step
-                        r_t, F_t, v_t = _residual(trial, contacts, g, robot)
-                        if r_t @ r_t < base:
-                            x, res0, F0, v0 = trial, r_t, F_t, v_t
-                            ok = True
-                            break
-                        lam *= 0.5
-                    if not ok:
-                        break
-                return x, res0
-            soft, _ = newton_soft(soft)
-        xi, res, F, v = newton(soft)
-    if np.abs(res).max() > RESIDUAL_TOL:
-        guess = _grid_search(contacts, gm, robot)
-        guess = _grid_search(contacts, gm, robot, box_v=0.2, box_w=0.8,
-                             center=guess)
-        xi, res, F, v = newton(guess)
-        if np.abs(res).max() > RESIDUAL_TOL:
-            raise SolverError(
-                f"force balance did not converge (residual {np.abs(res).max():.3e})",
-                residual=float(np.abs(res).max()),
-            )
-    return xi, F, v, float(np.abs(res).max())
+
+def _balance(contacts, ground, robot, xi0, where):
+    """``solve_quasistatic_velocity`` with ``where`` prefixed to a failure;
+    returns the twist, forces, residual and the largest contact power F.v."""
+    try:
+        xi, F, v, res = solve_quasistatic_velocity(contacts, ground, robot, xi0)
+    except SolverError as err:
+        raise SolverError(f"{where}: {err}", residual=err.residual) from err
+    return xi, F, res, float(np.einsum("ij,ij->i", F, v).max())
 
 
 def compute_joint_torques(pose, alphas, contacts, forces, robot):
@@ -427,18 +431,8 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
         cycle_phase = (omega * t) % TWO_PI
         contacts = build_contacts(pose, alphas, rates, cycle_phase, params,
                                   robot, terrain, rho_override)
-        try:
-            xi, F, v, res = solve_quasistatic_velocity(contacts, ground,
-                                                       robot, xi_prev)
-        except SolverError as err:
-            cyc = k // steps_per_cycle
-            raise SolverError(
-                f"cycle {cyc}, step {k % steps_per_cycle}: {err}",
-                residual=err.residual,
-            ) from err
-        xi_prev = xi
-        max_residual = max(max_residual, res)
-        max_power = max(max_power, float(np.einsum("ij,ij->i", F, v).max()))
+        where = f"cycle {k // steps_per_cycle}, step {k % steps_per_cycle}"
+        xi, F, res, power = _balance(contacts, ground, robot, xi_prev, where)
 
         poses[k] = pose
         centers[k] = body_center(pose, alphas, robot)
@@ -454,20 +448,11 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
         contacts_m = build_contacts(pose_half, alphas_m, rates_m,
                                     (omega * t_mid) % TWO_PI, params, robot,
                                     terrain, rho_override)
-        try:
-            xi_mid, F_m, v_m, res_m = solve_quasistatic_velocity(
-                contacts_m, ground, robot, xi)
-        except SolverError as err:
-            cyc = k // steps_per_cycle
-            raise SolverError(
-                f"cycle {cyc}, step {k % steps_per_cycle} (midpoint): {err}",
-                residual=err.residual,
-            ) from err
-        xi_prev = xi_mid
-        max_residual = max(max_residual, res_m)
-        max_power = max(max_power,
-                        float(np.einsum("ij,ij->i", F_m, v_m).max()))
-        pose = pose + dt * xi_mid
+        xi_prev, _, res_m, power_m = _balance(contacts_m, ground, robot, xi,
+                                              where + " (midpoint)")
+        max_residual = max(max_residual, res, res_m)
+        max_power = max(max_power, power, power_m)
+        pose = pose + dt * xi_prev
 
         if (k + 1) % steps_per_cycle == 0:
             c = k // steps_per_cycle

@@ -1,5 +1,6 @@
 """Experiment runner and CLI tests: configs, CSV outputs, determinism."""
 
+import dataclasses
 import math
 import os
 
@@ -8,7 +9,7 @@ import pytest
 
 from granugait import cli, harness
 from granugait.config import RunConfig
-from granugait.errors import ConfigError
+from granugait.errors import ConfigError, SolverError
 
 SMALL = dict(
     phi_grid=(0.0, -math.pi / 3), depths=(0.0, 40.0), sweep_trials=1,
@@ -95,6 +96,28 @@ def test_config_validation_names_offending_key(key, value):
         cfg.validate()
 
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig)
+              if isinstance(getattr(RunConfig(), f.name), float)]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_config_rejects_non_finite_floats(key, value):
+    cfg = RunConfig()
+    setattr(cfg, key, value)
+    with pytest.raises(ConfigError, match=key):
+        cfg.validate()
+
+
+def test_cli_rejects_infinite_mass(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[robot]\nmass = inf\n")
+    code = cli.main(["calibrate", "--config", str(bad),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "mass" in capsys.readouterr().err
+
+
 def test_config_echo_contains_every_key(tmp_path):
     cfg = RunConfig()
     text = cfg.to_text()
@@ -129,6 +152,33 @@ def test_sweep_outputs_and_determinism(tmp_path):
     assert header == "depth_mm,phi_rad,trial,cycle,speed_blc"
     n_rows = len((a_dir / "sweep.csv").read_text().splitlines()) - 1
     assert n_rows == 2 * 2 * 1 * 2   # depths x phis x trials x cycles
+
+
+def test_sweep_simulates_each_cell_once(tmp_path, monkeypatch):
+    calls = []
+    real = harness.simulate_trial
+
+    def counting(params, terrain, *args, **kwargs):
+        calls.append((terrain.label, params.body_phase))
+        return real(params, terrain, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_trial", counting)
+    cfg = small_cfg(sweep_trials=3)
+    res = harness.run_sweep(cfg, out_dir=tmp_path)
+    assert len(calls) == len(set(calls)) == len(cfg.depths) * len(cfg.phi_grid)
+    assert len(res.rows) == len(calls) * 3 * cfg.sweep_cycles
+    assert sorted({row[2] for row in res.rows}) == [0, 1, 2]
+
+
+def test_sweep_records_a_failure_per_trial(monkeypatch):
+    def failing(*args, **kwargs):
+        raise SolverError("force balance did not converge", residual=1.0)
+
+    monkeypatch.setattr(harness, "simulate_trial", failing)
+    cfg = small_cfg(sweep_trials=3)
+    res = harness.run_sweep(cfg)
+    assert len(res.failures) == len(cfg.depths) * len(cfg.phi_grid) * 3
+    assert not res.rows and not res.cell_means
 
 
 def test_sweep_rejects_empty_grid():

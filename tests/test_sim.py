@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from granugait.config import RunConfig
+from granugait.errors import SolverError
 from granugait.gait import GaitParams
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.percept import LoadPipelineConfig
@@ -117,6 +119,17 @@ def test_numerical_hygiene_flags():
     rec = _run()
     assert rec.max_residual <= 1e-8
     assert rec.max_power <= 1e-12
+
+
+def test_non_finite_forces_raise_solver_error():
+    """mass = 1e308 passes validation but overflows the weight; the solver
+    must reject the NaN residual instead of reporting a converged trial."""
+    cfg = RunConfig(mass=1e308)
+    cfg.validate()
+    with np.errstate(all="ignore"), pytest.raises(SolverError):
+        simulate_trial(_params(-math.pi / 3), TerrainProfile.constant(40.0),
+                       n_cycles=1, robot=cfg.robot(), ground=GROUND,
+                       steps_per_cycle=20)
 
 
 def test_timestep_convergence():

@@ -1,6 +1,7 @@
 """Quasi-static force-balance solver tests, including a brute-force oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,14 +10,18 @@ from granugait.errors import DegenerateSupportError
 from granugait.gait import TWO_PI, GaitParams
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.sim import (
-    RESIDUAL_TOL, _jacobian, _residual, build_contacts,
+    RESIDUAL_TOL, _Dissipation, _residual, build_contacts,
     solve_quasistatic_velocity,
 )
 
 ROBOT = RobotModel()
 GROUND = GroundModel()
 FLAT = TerrainProfile.flat()
+MID = TerrainProfile.constant(20.0)
 DEEP = TerrainProfile.constant(40.0)
+# Row scaling that turns the potential's gradient into the residual.
+RES_SCALE = np.array([1.0, 1.0, 1.0 / ROBOT.body_length]) / (
+    ROBOT.friction * ROBOT.weight)
 
 
 def _contacts(phi=-math.pi / 3, cycle_phase=0.7, terrain=DEEP,
@@ -122,18 +127,57 @@ def test_degenerate_support_raises():
                   rho_override=0.0)
 
 
-def test_analytic_jacobian_matches_finite_difference():
-    c = _contacts()
+def _potential(c, xi):
+    pot = _Dissipation(c, GROUND, ROBOT.friction)
+    psi, v, s = pot.value(xi)
+    return (psi,) + pot.derivatives(xi, v, s)
+
+
+def test_analytic_hessian_matches_finite_difference():
+    """Central differences of the potential match its gradient, and
+    central differences of the gradient match its Hessian."""
     xi = np.array([0.03, -0.02, 0.4])
-    J = _jacobian(xi, c, GROUND, ROBOT)
     h = 1e-7
-    for col in range(3):
-        dx = np.zeros(3)
-        dx[col] = h
-        rp, _, _ = _residual(xi + dx, c, GROUND, ROBOT)
-        rm, _, _ = _residual(xi - dx, c, GROUND, ROBOT)
-        np.testing.assert_allclose(J[:, col], (rp - rm) / (2 * h),
-                                   rtol=1e-4, atol=1e-6)
+    for terrain in (FLAT, MID, DEEP):
+        c = _contacts(terrain=terrain)
+        _, grad, hess = _potential(c, xi)
+        for col in range(3):
+            dx = np.zeros(3)
+            dx[col] = h
+            psi_p, grad_p, _ = _potential(c, xi + dx)
+            psi_m, grad_m, _ = _potential(c, xi - dx)
+            np.testing.assert_allclose(
+                RES_SCALE * hess[:, col],
+                RES_SCALE * (grad_p - grad_m) / (2 * h), rtol=1e-4, atol=1e-6)
+            assert RES_SCALE[col] * grad[col] == pytest.approx(
+                RES_SCALE[col] * (psi_p - psi_m) / (2 * h), rel=1e-4,
+                abs=1e-6)
+
+
+def test_potential_gradient_is_minus_scaled_residual():
+    """The residual of the contact_forces law is -diag(1, 1, 1/BL) grad Psi
+    / (mu m g) at any twist."""
+    rng = np.random.default_rng(11)
+    for terrain in (FLAT, MID, DEEP):
+        c = _contacts(terrain=terrain)
+        for xi in rng.normal(scale=(0.2, 0.2, 1.0), size=(10, 3)):
+            _, grad, _ = _potential(c, xi)
+            res, _, _ = _residual(xi, c, GROUND, ROBOT)
+            np.testing.assert_allclose(-RES_SCALE * grad, res, rtol=1e-9,
+                                       atol=1e-13)
+
+
+def test_flat_ground_converges_from_far_cold_start():
+    """Every Newton step lowers the potential, so a start far from the
+    balance converges without overflow."""
+    c = _contacts(terrain=FLAT)
+    ref, _, _, _ = solve_quasistatic_velocity(c, GROUND, ROBOT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        xi, _, _, res = solve_quasistatic_velocity(
+            c, GROUND, ROBOT, xi0=(50.0, -50.0, 500.0))
+    assert res <= RESIDUAL_TOL
+    np.testing.assert_allclose(xi, ref, atol=1e-6)
 
 
 def test_solved_forces_are_dissipative():
