@@ -8,17 +8,15 @@ from .gait import (  # noqa: F401
     leg_command, optimal_phase_for_depth,
 )
 from .model import (  # noqa: F401
-    BodyState, GroundModel, RobotModel, TerrainProfile, blend_ratio,
-    element_reaction_force,
+    GroundModel, RobotModel, TerrainProfile, blend_ratio,
 )
 from .sim import (  # noqa: F401
     TrialRecord, simulate_trial, solve_quasistatic_velocity,
-    speed_bl_per_cycle, torque_vs_rft_ratio,
+    speed_bl_per_cycle,
 )
 from .percept import (  # noqa: F401
     DepthClassifier, LabeledFeature, LoadPipelineConfig, add_sensor_noise,
-    cycle_median, depth_from_load_linear, evaluate, knn_classify, knn_train,
-    lowpass, rectify, torque_to_load,
+    evaluate, knn_classify, knn_train, lowpass, rectify, torque_to_load,
 )
 from .control import (  # noqa: F401
     ControllerParams, ControllerState, PhaseController, calibrate_tau0,

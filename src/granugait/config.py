@@ -10,14 +10,16 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .gait import BODY_JOINT_LIMIT, GaitParams
-from .model import GroundModel, LegAttachment, RobotModel
-from .percept import LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS, LoadPipelineConfig
+from .model import GroundModel, RobotModel
+from .percept import (
+    DEPTH_CLASSES, LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS,
+    LoadPipelineConfig,
+)
 from .control import ControllerParams
-from .gait import LegId
 
 DEFAULT_PHI_GRID = (0.0, -math.pi / 12, -math.pi / 6, -math.pi / 4,
                     -math.pi / 3, -5 * math.pi / 12, -math.pi / 2)
@@ -130,6 +132,10 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        # the KNN trains on half of the classify dataset
+        train_size = (len(DEPTH_CLASSES) * len(self.phi_grid)
+                      * self.classify_trials_per_cell * self.classify_cycles
+                      // 2)
         checks = [
             ("mass", self.mass > 0),
             ("friction", self.friction > 0),
@@ -145,13 +151,17 @@ class RunConfig:
             ("duty", 0 < self.duty <= 1),
             ("beta_land", 0 < self.beta_land <= math.pi / 2),
             ("ramp_frac", 0 <= self.ramp_frac < 0.5),
+            ("clamp_limit", self.clamp_limit > 0),
+            ("blend_frac", self.blend_frac >= 0),
             ("gain", self.gain > 0),
             ("noise_cov", self.noise_cov >= 0),
             ("bias_sd", self.bias_sd >= 0),
             ("alpha", 0 < self.alpha <= 1),
             ("order", self.order in (LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS)),
+            ("clip", self.clip > 0),
             ("k", 0 < self.k < 1),
             ("phi_min", self.phi_min < self.phi_max),
+            ("seed", self.seed >= 0),
             ("steps_per_cycle", self.steps_per_cycle >= 10),
             ("depths", all(0 <= d <= 40 for d in self.depths)),
             ("phi_grid", len(self.phi_grid) > 0
@@ -162,7 +172,7 @@ class RunConfig:
             ("sweep_cycles", self.sweep_cycles >= 1),
             ("classify_trials_per_cell", self.classify_trials_per_cell >= 2),
             ("classify_cycles", self.classify_cycles >= 1),
-            ("knn_k", self.knn_k >= 1),
+            ("knn_k", 1 <= self.knn_k <= train_size),
             ("closedloop_cycles", self.closedloop_cycles >= 1),
             ("closedloop_depth", 0 <= self.closedloop_depth <= 40),
             ("closedloop_phi_init",
@@ -184,18 +194,14 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     def robot(self):
-        attach = {
-            LegId.LF: LegAttachment(1, self.fore_along, self.leg_lateral),
-            LegId.RF: LegAttachment(1, self.fore_along, -self.leg_lateral),
-            LegId.LH: LegAttachment(3, self.hind_along, self.leg_lateral),
-            LegId.RH: LegAttachment(3, self.hind_along, -self.leg_lateral),
-        }
         return RobotModel(
             mass=self.mass, friction=self.friction,
             segment_length=self.segment_length,
             belly_elements_per_segment=self.belly_elements_per_segment,
             belly_weight_frac=self.belly_weight_frac,
-            foot_gm_weight_frac=self.foot_gm_weight_frac, leg_attach=attach,
+            foot_gm_weight_frac=self.foot_gm_weight_frac,
+            fore_along=self.fore_along, hind_along=self.hind_along,
+            leg_lateral=self.leg_lateral,
         )
 
     def ground(self):

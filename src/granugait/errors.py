@@ -24,10 +24,6 @@ class CalibrationError(SimulationError):
     """Load calibration produced inconsistent values (air load >= terrain load)."""
 
 
-class StructureError(SimulationError):
-    """Classifier decision regions lack the structure required for a linear depth map."""
-
-
 class ControllerStateError(SimulationError):
     """Controller used before calibration supplied a load setpoint."""
 

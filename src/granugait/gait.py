@@ -9,7 +9,7 @@ execute a trot: diagonal pairs share stance windows offset by half a cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -174,7 +174,6 @@ class BodyWave:
         self.clamp_events = 0
         self._delta = np.zeros(3)
         self._blend_start_u = 0.0
-        self._phase_log: list[tuple[float, float]] = []
 
     def set_phase(self, new_phi, at_u):
         """Switch the body phase offset at unwrapped wave phase ``at_u``."""
@@ -185,7 +184,6 @@ class BodyWave:
         self._delta = residual + n * (self.phi - new_phi)
         self._blend_start_u = at_u
         self.phi = new_phi
-        self._phase_log.append((at_u, new_phi))
 
     def _offsets(self, u):
         span = self.blend_frac * TWO_PI
@@ -231,7 +229,3 @@ class BodyWave:
         s = np.clip((self.clamp_limit - np.abs(raw)) / window, 0.0, 1.0)
         rates = raw_rate * s * s * (3.0 - 2.0 * s)
         return angles, rates
-
-    @property
-    def phase_log(self):
-        return list(self._phase_log)

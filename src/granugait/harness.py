@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, control, percept, sim
+from . import __version__, control, percept
 from .config import RunConfig
 from .errors import SolverError
 from .gait import optimal_phase_for_depth
@@ -32,6 +32,17 @@ def _subseed(master, *idx):
 
 def _fmt(x):
     return f"{x:.9f}"
+
+
+def _simulate(cfg, phi, terrain, n_cycles, seed, **kw):
+    """``simulate_trial`` of gait ``phi`` with the robot, ground, step
+    count, joint clamp and phase blend of ``cfg``; every trial an
+    experiment runs goes through here."""
+    return simulate_trial(
+        cfg.gait(phi), terrain, n_cycles=n_cycles, seed=seed,
+        robot=cfg.robot(), ground=cfg.ground(),
+        steps_per_cycle=cfg.steps_per_cycle, clamp_limit=cfg.effective_clamp,
+        blend_frac=cfg.blend_frac, **kw)
 
 
 def _write_csv(path, header, rows):
@@ -75,8 +86,7 @@ def _session_bias(cfg: RunConfig):
     if cfg.noise_cov <= 0 or cfg.bias_sd <= 0:
         return None
     rng = np.random.default_rng(_subseed(cfg.seed, 9999))
-    lim = math.sqrt(3.0) * cfg.bias_sd
-    return tuple(rng.uniform(-lim, lim, 3))
+    return tuple(percept._draw_bias(cfg.bias_sd, rng))
 
 
 def run_calibrate(cfg: RunConfig, out_dir=None, bias=None):
@@ -89,13 +99,9 @@ def run_calibrate(cfg: RunConfig, out_dir=None, bias=None):
     if bias is None:
         bias = _session_bias(cfg)
     air_load = 0.0
-    rec = simulate_trial(
-        cfg.gait(cfg.calibration_phi), TerrainProfile.constant(40.0),
-        n_cycles=cfg.sweep_cycles, seed=_subseed(cfg.seed, 9000),
-        robot=cfg.robot(), ground=cfg.ground(),
-        steps_per_cycle=cfg.steps_per_cycle, load_cfg=cfg.load_cfg(bias=bias),
-        clamp_limit=cfg.effective_clamp, blend_frac=cfg.blend_frac,
-    )
+    rec = _simulate(cfg, cfg.calibration_phi, TerrainProfile.constant(40.0),
+                    cfg.sweep_cycles, _subseed(cfg.seed, 9000),
+                    load_cfg=cfg.load_cfg(bias=bias))
     max_load = float(rec.cycle_median_load[:, 1].mean())
     tau0 = control.calibrate_tau0(air_load, max_load)
     result = CalibrationResult(air_load, max_load, tau0)
@@ -133,14 +139,8 @@ def run_sweep(cfg: RunConfig, out_dir=None):
         terrain = TerrainProfile.constant(depth)
         for phi in cfg.phi_grid:
             try:
-                rec = simulate_trial(
-                    cfg.gait(phi), terrain, n_cycles=cfg.sweep_cycles,
-                    seed=0, robot=cfg.robot(), ground=cfg.ground(),
-                    steps_per_cycle=cfg.steps_per_cycle,
-                    load_cfg=cfg.load_cfg(noise_cov=0.0),
-                    clamp_limit=cfg.effective_clamp,
-                    blend_frac=cfg.blend_frac,
-                )
+                rec = _simulate(cfg, phi, terrain, cfg.sweep_cycles, 0,
+                                load_cfg=cfg.load_cfg(noise_cov=0.0))
             except SolverError as err:
                 failures.extend((depth, phi, trial, str(err))
                                 for trial in range(cfg.sweep_trials))
@@ -180,16 +180,19 @@ def run_sweep(cfg: RunConfig, out_dir=None):
 # Model torque
 
 def run_model_torque(cfg: RunConfig, out_dir=None):
-    """Median |tau~| per joint versus the drag/Coulomb blend ratio."""
-    phis = (0.0, -math.pi / 3)
+    """Median |tau~| per joint versus the drag/Coulomb blend ratio.
+
+    One noise-free cycle on flat ground per (phi, ratio), with the ratio
+    imposed on every belly element.
+    """
     rows = []
     table = {}
-    for phi in phis:
-        out = sim.torque_vs_rft_ratio(
-            phi, cfg.rho_grid, robot=cfg.robot(), ground=cfg.ground(),
-            steps_per_cycle=cfg.steps_per_cycle, params=cfg.gait(phi),
-        )
-        for rho, medians in out:
+    for phi in (0.0, -math.pi / 3):
+        for rho in cfg.rho_grid:
+            rec = _simulate(cfg, phi, TerrainProfile.flat(), 1, 0,
+                            load_cfg=cfg.load_cfg(noise_cov=0.0),
+                            rho_override=rho)
+            medians = np.median(np.abs(rec.torques), axis=0)
             table[(phi, rho)] = medians
             for j, name in enumerate(JOINT_NAMES):
                 rows.append((float(phi), float(rho), name, float(medians[j])))
@@ -216,13 +219,8 @@ def generate_feature_dataset(cfg: RunConfig):
     for di, depth in enumerate(depths):
         terrain = TerrainProfile.constant(depth)
         for pi, phi in enumerate(cfg.phi_grid):
-            rec = simulate_trial(
-                cfg.gait(phi), terrain, n_cycles=cfg.classify_cycles,
-                seed=0, robot=cfg.robot(), ground=cfg.ground(),
-                steps_per_cycle=cfg.steps_per_cycle,
-                load_cfg=cfg.load_cfg(noise_cov=0.0),
-                clamp_limit=cfg.effective_clamp, blend_frac=cfg.blend_frac,
-            )
+            rec = _simulate(cfg, phi, terrain, cfg.classify_cycles, 0,
+                            load_cfg=cfg.load_cfg(noise_cov=0.0))
             for trial in range(cfg.classify_trials_per_cell):
                 rng = np.random.default_rng(_subseed(cfg.seed, 100, di, pi, trial))
                 medians = percept.trial_cycle_medians(
@@ -306,15 +304,10 @@ def run_closedloop(cfg: RunConfig, out_dir=None, calibration=None):
     calib = calibration or run_calibrate(cfg, bias=bias)
     params = cfg.controller_params(calib.tau0)
     controller = control.PhaseController(params, cfg.closedloop_phi_init)
-    rec = simulate_trial(
-        cfg.gait(params.clamp(cfg.closedloop_phi_init)),
-        TerrainProfile.constant(cfg.closedloop_depth),
-        n_cycles=cfg.closedloop_cycles, seed=_subseed(cfg.seed, 300),
-        robot=cfg.robot(), ground=cfg.ground(),
-        steps_per_cycle=cfg.steps_per_cycle, controller=controller,
-        load_cfg=cfg.load_cfg(bias=bias), clamp_limit=cfg.effective_clamp,
-        blend_frac=cfg.blend_frac,
-    )
+    rec = _simulate(cfg, params.clamp(cfg.closedloop_phi_init),
+                    TerrainProfile.constant(cfg.closedloop_depth),
+                    cfg.closedloop_cycles, _subseed(cfg.seed, 300),
+                    controller=controller, load_cfg=cfg.load_cfg(bias=bias))
     phi_star = optimal_phase_for_depth(cfg.closedloop_depth)
     result = ClosedLoopResult(
         cfg.closedloop_depth, cfg.closedloop_phi_init, phi_star,
@@ -373,13 +366,9 @@ def run_transition(cfg: RunConfig, out_dir=None, calibration=None):
                 cfg.controller_params(calib.tau0), 0.0)
         elif mode == "fixed_phi_-pi/3":
             phi_init = -math.pi / 3
-        rec = simulate_trial(
-            cfg.gait(phi_init), terrain, n_cycles=n,
-            seed=_subseed(cfg.seed, 400, mi), robot=cfg.robot(),
-            ground=cfg.ground(), steps_per_cycle=cfg.steps_per_cycle,
-            controller=controller, load_cfg=cfg.load_cfg(bias=bias),
-            clamp_limit=cfg.effective_clamp, blend_frac=cfg.blend_frac,
-        )
+        rec = _simulate(cfg, phi_init, terrain, n, _subseed(cfg.seed, 400, mi),
+                        controller=controller,
+                        load_cfg=cfg.load_cfg(bias=bias))
         for c in range(n):
             x_pos = float(rec.centers[(c + 1) * cfg.steps_per_cycle, 0])
             rows.append((mode, c, float(rec.cycle_phi[c]),

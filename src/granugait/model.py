@@ -1,16 +1,19 @@
-"""Robot geometry, terrain profiles, and the blended ground-reaction model.
+"""Robot geometry, terrain profiles, and the ground-reaction coefficients.
 
 Ground reaction on each contacting element is a depth-dependent linear
 combination of two limiting force laws: dry Coulomb friction (rigid flat
 ground) and anisotropic velocity-proportional drag standing in for granular
 resistive forces (deep media).  Drag anisotropy (perpendicular > parallel)
 is what lets an undulating body generate net thrust in the granular limit.
+This module holds the law's coefficients (``GroundModel``) and its depth
+blend (``blend_ratio``); the law itself is ``sim.contact_forces``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,19 +32,6 @@ class LegAttachment:
     lateral: float      # m, positive = robot's left
 
 
-def _default_leg_attachments():
-    # Fore shoulders on segment 1, hind on segment 3 (head = segment 0,
-    # tail = segment 3).  Offsets place the fore feet near the middle of
-    # segment 1 and the hind feet at the tail joint, which spreads the
-    # flat-ground reaction moments evenly over the three body joints.
-    return {
-        LegId.LF: LegAttachment(1, 0.09, 0.02),
-        LegId.RF: LegAttachment(1, 0.09, -0.02),
-        LegId.LH: LegAttachment(3, 0.0, 0.02),
-        LegId.RH: LegAttachment(3, 0.0, -0.02),
-    }
-
-
 @dataclass(frozen=True)
 class RobotModel:
     """Planar four-segment body with shoulder-mounted point feet."""
@@ -53,7 +43,9 @@ class RobotModel:
     belly_elements_per_segment: int = 8
     belly_weight_frac: float = 0.15  # weight share on the belly on rigid ground
     foot_gm_weight_frac: float = 0.06  # weight left to the feet when immersed
-    leg_attach: dict = field(default_factory=_default_leg_attachments)
+    fore_along: float = 0.09         # m, fore shoulders along segment 1
+    hind_along: float = 0.0          # m, hind shoulders along segment 3
+    leg_lateral: float = 0.02        # m, left shoulders; right ones mirror
 
     def __post_init__(self):
         if self.n_segments != 4:
@@ -67,9 +59,6 @@ class RobotModel:
         if not 0 <= self.foot_gm_weight_frac < 1 - self.belly_weight_frac:
             raise ValueError(
                 "foot_gm_weight_frac must lie in [0, 1 - belly_weight_frac)")
-        for leg, att in self.leg_attach.items():
-            if att.segment not in range(self.n_segments):
-                raise ValueError(f"leg {leg} attached to invalid segment {att.segment}")
 
     @property
     def body_length(self):
@@ -79,17 +68,24 @@ class RobotModel:
     def weight(self):
         return self.mass * GRAVITY
 
+    @cached_property
+    def leg_attach(self):
+        """Shoulder of each leg.  Fore shoulders sit on segment 1, hind on
+        segment 3 (head = segment 0, tail = segment 3).  The default offsets
+        place the fore feet near the middle of segment 1 and the hind feet
+        at the tail joint, which spreads the flat-ground reaction moments
+        evenly over the three body joints."""
+        lat = self.leg_lateral
+        return {
+            LegId.LF: LegAttachment(1, self.fore_along, lat),
+            LegId.RF: LegAttachment(1, self.fore_along, -lat),
+            LegId.LH: LegAttachment(3, self.hind_along, lat),
+            LegId.RH: LegAttachment(3, self.hind_along, -lat),
+        }
+
     def mirrored(self):
         """Same robot with left/right leg geometry swapped."""
-        attach = {
-            leg: LegAttachment(a.segment, a.along, -a.lateral)
-            for leg, a in self.leg_attach.items()
-        }
-        return RobotModel(
-            self.n_segments, self.segment_length, self.mass, self.friction,
-            self.belly_elements_per_segment, self.belly_weight_frac,
-            self.foot_gm_weight_frac, attach,
-        )
+        return dataclasses.replace(self, leg_lateral=-self.leg_lateral)
 
 
 @dataclass(frozen=True)
@@ -120,25 +116,6 @@ def blend_ratio(d):
     if d < 0:
         raise ValueError(f"depth must be nonnegative, got {d}")
     return min(d / MAX_DEPTH_MM, 1.0)
-
-
-def element_reaction_force(v, heading, normal_load, gm, mu, rho):
-    """Reaction force (N, planar) on one element moving at velocity ``v``.
-
-    Blend of regularized Coulomb friction (weight ``1 - rho``) and
-    anisotropic linear drag (weight ``rho``) resolved along/across the
-    element's long-axis ``heading``.  Always dissipative: F . v <= 0.
-    """
-    v = np.asarray(v, dtype=float)
-    if normal_load < 0:
-        raise ValueError("normal load must be nonnegative")
-    speed = math.hypot(v[0], v[1])
-    f_coulomb = -mu * normal_load * v / (speed + gm.slip_eps)
-    axis = np.array([math.cos(heading), math.sin(heading)])
-    v_par = float(v @ axis)
-    v_perp = v - v_par * axis
-    f_rft = -gm.rft_par * v_par * axis - gm.rft_perp * v_perp
-    return (1.0 - rho) * f_coulomb + rho * f_rft
 
 
 class TerrainProfile:
@@ -174,17 +151,3 @@ class TerrainProfile:
             return np.clip((x - x_start) / ramp_length, 0.0, 1.0) * depth_mm
 
         return TerrainProfile(fn, f"ramp-{x_start}m-{ramp_length}m-{depth_mm}mm")
-
-
-@dataclass
-class BodyState:
-    """Planar pose of the head tip plus the internal joint configuration."""
-
-    x: float = 0.0
-    y: float = 0.0
-    theta: float = 0.0
-    joint_angles: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    time: float = 0.0
-
-    def pose(self):
-        return np.array([self.x, self.y, self.theta])

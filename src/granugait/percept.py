@@ -1,21 +1,23 @@
 """Proprioceptive load pipeline and KNN terrain-depth classification.
 
-Simulated joint torques are mapped to a servo-style load percentage,
-corrupted with multiplicative sensor noise, smoothed with a first-order
-low-pass filter, rectified, and summarized by a per-cycle median.  A
-K-nearest-neighbors model over (median load, phase offset) features then
-classifies bead depth into the {0, 20, 40} mm classes.
+Simulated joint torques are mapped to a servo-style load percentage with a
+register zero offset, corrupted with multiplicative sensor noise (the raw
+stage), smoothed with a first-order low-pass filter and rectified (the
+filter stage), and summarized by a per-cycle median.  One implementation
+of each stage serves both the offline ``trial_cycle_medians`` and the
+streaming ``OnlineLoadPipeline``, which carries the filter state across
+cycles and so yields the same medians bit for bit.  A K-nearest-neighbors
+model over (median load, phase offset) features then classifies bead
+depth into the {0, 20, 40} mm classes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import StructureError
 
 DEPTH_CLASSES = (0, 20, 40)
 
@@ -39,6 +41,8 @@ class LoadPipelineConfig:
     def __post_init__(self):
         if self.gain <= 0:
             raise ValueError("gain must be positive")
+        if not self.clip > 0:
+            raise ValueError("clip must be positive")
         if self.noise_cov < 0:
             raise ValueError("noise_cov must be nonnegative")
         if self.bias_sd < 0:
@@ -49,19 +53,22 @@ class LoadPipelineConfig:
             raise ValueError(f"unknown pipeline order {self.order!r}")
 
 
-@dataclass
-class LoadSeries:
-    """Per-timestep load signal (% of stall torque) for one joint."""
-
-    samples: np.ndarray
-    joint: str = "lower"
-    cycle_bounds: np.ndarray | None = None   # timestep index of each cycle start
-
-
 def _draw_bias(bias_sd, rng):
     """Per-trial register zero offset: bounded uniform with std ``bias_sd``."""
     lim = math.sqrt(3.0) * bias_sd
     return rng.uniform(-lim, lim, 3)
+
+
+def _bias(cfg, rng):
+    """Register zero offset of one trial: pinned for a session, drawn once
+    per trial from ``rng``, or zero when the sensor model is noise-free.
+    Constant within the trial, so it survives filtering and per-cycle
+    medians like real sensor drift does."""
+    if cfg.bias is not None:
+        return np.asarray(cfg.bias, dtype=float)
+    if cfg.bias_sd > 0 and cfg.noise_cov > 0:
+        return _draw_bias(cfg.bias_sd, rng)
+    return np.zeros(3)
 
 
 def torque_to_load(tau, gain, clip=100.0):
@@ -81,15 +88,19 @@ def add_sensor_noise(samples, cov, seed):
     return samples * (1.0 + cov * z)
 
 
-def lowpass(samples, alpha):
-    """First-order exponential smoothing, y[0] = x[0]."""
+def lowpass(samples, alpha, y0=None):
+    """First-order exponential smoothing from the carried state ``y0``;
+    without one, y[0] = x[0]."""
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("cannot filter an empty series")
     y = np.empty_like(samples)
-    y[0] = samples[0]
+    if y0 is None:
+        y[0] = samples[0]
+    else:
+        y[0] = alpha * samples[0] + (1.0 - alpha) * y0
     for k in range(1, len(samples)):
         y[k] = alpha * samples[k] + (1.0 - alpha) * y[k - 1]
     return y
@@ -100,94 +111,70 @@ def rectify(samples):
     return np.abs(np.asarray(samples, dtype=float))
 
 
-def cycle_median(samples, cycle_bounds, cycle_index):
-    """Median of the processed samples within one cycle's index range."""
-    bounds = list(cycle_bounds)
-    if not 0 <= cycle_index < len(bounds):
-        raise ValueError(f"invalid cycle index {cycle_index}")
-    lo = bounds[cycle_index]
-    hi = bounds[cycle_index + 1] if cycle_index + 1 < len(bounds) else len(samples)
-    if hi <= lo:
-        raise ValueError(f"cycle {cycle_index} is empty")
-    return float(np.median(np.asarray(samples, dtype=float)[lo:hi]))
+def _raw_loads(tau, cfg, bias, rng):
+    """Raw stage: clipped load plus the zero offset, then sensor noise."""
+    raw = torque_to_load(tau, cfg.gain, cfg.clip) + bias
+    if cfg.noise_cov > 0:
+        raw = add_sensor_noise(raw, cfg.noise_cov, rng)
+    return raw
+
+
+def _filtered(raw, cfg, y0=None):
+    """Filter stage over a (n, 3) raw block: low-pass and rectify in the
+    configured order.  Returns the processed block and the filter state to
+    carry into the next block."""
+    if cfg.order == LOWPASS_THEN_RECTIFY:
+        y = lowpass(raw, cfg.alpha, y0)
+        return rectify(y), y[-1]
+    y = lowpass(rectify(raw), cfg.alpha, y0)
+    return y, y[-1]
 
 
 class OnlineLoadPipeline:
-    """Streaming version of the load pipeline for all three body joints.
+    """Streaming load pipeline for all three body joints.
 
-    Filter state persists across cycle boundaries within a trial, matching
-    a servo-side filter that never resets.
+    Each step draws its raw sample as it comes; ``cycle_median`` filters a
+    finished cycle's block, carrying the filter state from the previous
+    cycle like a servo-side filter that never resets.  Cycles must be read
+    in order.
     """
 
     def __init__(self, cfg: LoadPipelineConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
-        # Register zero offset: drawn once per trial (or pinned for a
-        # session), constant thereafter, so it survives filtering and
-        # per-cycle medians like real sensor drift does.
-        if cfg.bias is not None:
-            self._bias = np.asarray(cfg.bias, dtype=float)
-        elif cfg.bias_sd > 0 and cfg.noise_cov > 0:
-            self._bias = _draw_bias(cfg.bias_sd, rng)
-        else:
-            self._bias = np.zeros(3)
-        self._y = None
+        self._bias = _bias(cfg, rng)
         self._raw = []
-        self._processed = []
+        self._y = None      # filter state after the last median's block
+        self._read = 0      # samples consumed by cycle_median
 
     def push_raw(self, tau):
         """Feed one timestep of nondimensional torques (3,); returns the
         noisy raw load sample."""
-        cfg = self.cfg
-        raw = torque_to_load(tau, cfg.gain, cfg.clip) + self._bias
-        if cfg.noise_cov > 0:
-            raw = raw * (1.0 + cfg.noise_cov * self.rng.standard_normal(3))
+        raw = _raw_loads(tau, self.cfg, self._bias, self.rng)
         self._raw.append(raw)
-        if cfg.order == LOWPASS_THEN_RECTIFY:
-            x = raw
-        else:
-            x = np.abs(raw)
-        if self._y is None:
-            self._y = np.array(x, dtype=float)
-        else:
-            self._y = cfg.alpha * x + (1.0 - cfg.alpha) * self._y
-        if cfg.order == LOWPASS_THEN_RECTIFY:
-            self._processed.append(np.abs(self._y))
-        else:
-            self._processed.append(self._y.copy())
         return raw
 
     def cycle_median(self, lo, hi):
-        block = np.asarray(self._processed[lo:hi])
-        return np.median(block, axis=0)
-
-    def raw_history(self):
-        if not self._raw:
-            return np.empty((0, 3))
-        return np.asarray(self._raw)
+        """Per-joint median of the processed samples ``lo:hi``."""
+        if lo != self._read:
+            raise ValueError(f"cycle starts at {lo}, not at {self._read}")
+        proc, self._y = _filtered(np.asarray(self._raw[lo:hi]), self.cfg,
+                                  self._y)
+        self._read = hi
+        return np.median(proc, axis=0)
 
 
 def trial_cycle_medians(torques, steps_per_cycle, cfg, rng):
     """Full load pipeline applied offline to a (N, 3) torque history.
 
-    Returns per-cycle medians (C, 3).  Equivalent to streaming the trial
-    through OnlineLoadPipeline with the same generator.
+    Returns per-cycle medians (C, 3), equal to streaming the trial through
+    OnlineLoadPipeline with the same generator.
     """
     torques = np.asarray(torques, dtype=float)
     n = len(torques)
     if n == 0 or n % steps_per_cycle != 0:
         raise ValueError("torque history must hold whole cycles")
-    raw = torque_to_load(torques, cfg.gain, cfg.clip)
-    if cfg.bias is not None:
-        raw = raw + np.asarray(cfg.bias, dtype=float)
-    elif cfg.bias_sd > 0 and cfg.noise_cov > 0:
-        raw = raw + _draw_bias(cfg.bias_sd, rng)
-    if cfg.noise_cov > 0:
-        raw = raw * (1.0 + cfg.noise_cov * rng.standard_normal(raw.shape))
-    if cfg.order == LOWPASS_THEN_RECTIFY:
-        proc = np.abs(lowpass(raw, cfg.alpha))
-    else:
-        proc = lowpass(np.abs(raw), cfg.alpha)
+    proc, _ = _filtered(_raw_loads(torques, cfg, _bias(cfg, rng), rng), cfg)
     c = n // steps_per_cycle
     return np.median(proc.reshape(c, steps_per_cycle, 3), axis=1)
 
@@ -265,60 +252,6 @@ def evaluate(c, test_set):
         confusion[idx[f.label], idx[pred]] += 1
     accuracy = float(np.trace(confusion)) / len(test_set)
     return confusion, accuracy
-
-
-@dataclass(frozen=True)
-class LinearDepthEstimator:
-    """Piecewise-linear depth estimate built from two KNN decision boundaries."""
-
-    boundary_low: float    # tau_m at the 0 <-> 20 mm transition
-    boundary_high: float   # tau_m at the 20 <-> 40 mm transition
-
-    def __call__(self, tau_m):
-        slope = 20.0 / (self.boundary_high - self.boundary_low)
-        d = 10.0 + slope * (tau_m - self.boundary_low)
-        return float(np.clip(d, 0.0, 40.0))
-
-
-def depth_from_load_linear(c, phi_probe=-math.pi / 6, n_scan=512):
-    """Linear depth estimator from the classifier's tau_m decision boundaries.
-
-    Scans a 1-D tau_m probe at fixed phi; the class sequence along the probe
-    must be the simply connected 0 / 20 / 40 progression, otherwise the
-    classifier's structure cannot support a monotone linear map.
-    """
-    tau_train = c.features[:, 0] * c.scale[0] + c.mean[0]
-    lo, hi = float(tau_train.min()), float(tau_train.max())
-    margin = 0.1 * (hi - lo)
-    grid = np.linspace(lo - margin, hi + margin, n_scan)
-    preds = np.array([knn_classify(c, t, phi_probe) for t in grid])
-
-    blocks = [preds[0]]
-    for p in preds[1:]:
-        if p != blocks[-1]:
-            blocks.append(p)
-    if blocks != [0, 20, 40]:
-        raise StructureError(
-            f"decision regions along the tau_m probe are {blocks}, "
-            "not a simply connected 0/20/40 progression"
-        )
-
-    def bisect(lo_t, hi_t, lo_class):
-        for _ in range(60):
-            mid = 0.5 * (lo_t + hi_t)
-            if knn_classify(c, mid, phi_probe) == lo_class:
-                lo_t = mid
-            else:
-                hi_t = mid
-        return 0.5 * (lo_t + hi_t)
-
-    last0 = grid[np.nonzero(preds == 0)[0][-1]]
-    first20 = grid[np.nonzero(preds == 20)[0][0]]
-    last20 = grid[np.nonzero(preds == 20)[0][-1]]
-    first40 = grid[np.nonzero(preds == 40)[0][0]]
-    b_low = bisect(last0, first20, 0)
-    b_high = bisect(last20, first40, 20)
-    return LinearDepthEstimator(b_low, b_high)
 
 
 # ---------------------------------------------------------------------------

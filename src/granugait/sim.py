@@ -15,14 +15,15 @@ Newton on it, with the quadratic drag share precomputed and no fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import percept
 from .errors import DegenerateSupportError, SolverError
-from .gait import TWO_PI, BodyWave, GaitParams, LegId, leg_contact_fraction
-from .model import GroundModel, RobotModel, TerrainProfile, blend_ratio
+from .gait import (BODY_JOINT_LIMIT, TWO_PI, BodyWave, LegId,
+                   leg_contact_fraction)
+from .model import MAX_DEPTH_MM, GroundModel, RobotModel
 
 RESIDUAL_TOL = 1e-8      # nondimensional acceptance bound per step
 NEWTON_TOL = 1e-11       # solver target, well inside the acceptance bound
@@ -124,7 +125,7 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
 
     if rho_override is None:
         depth = np.asarray(terrain.depth_at(pos[:n_belly, 0]))
-        rho_belly = np.minimum(depth / 40.0, 1.0)
+        rho_belly = np.minimum(depth / MAX_DEPTH_MM, 1.0)
     else:
         rho_belly = np.full(n_belly, float(rho_override))
     rho = np.zeros(len(pos))
@@ -377,7 +378,7 @@ def default_initial_pose(robot):
 def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
                    steps_per_cycle=100, controller=None,
                    load_cfg=None, mirror=False, rho_override=None,
-                   initial_pose=None, clamp_limit="default", blend_frac=0.1):
+                   clamp_limit=BODY_JOINT_LIMIT, blend_frac=0.1):
     """Run ``n_cycles`` gait cycles and record the full trial.
 
     ``controller``, when given, is called once per cycle boundary with that
@@ -396,9 +397,7 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
         # keeping their stance timing, and the body wave negates.
         robot = robot.mirrored()
 
-    from .gait import BODY_JOINT_LIMIT
-    limit = BODY_JOINT_LIMIT if clamp_limit == "default" else clamp_limit
-    wave = BodyWave(params, clamp_limit=limit, blend_frac=blend_frac,
+    wave = BodyWave(params, clamp_limit=clamp_limit, blend_frac=blend_frac,
                     mirror=mirror)
 
     rng = np.random.default_rng(seed)
@@ -406,8 +405,7 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
     dt = TWO_PI / omega / steps_per_cycle
     n_steps = n_cycles * steps_per_cycle
 
-    pose = np.array(initial_pose if initial_pose is not None
-                    else default_initial_pose(robot), dtype=float)
+    pose = default_initial_pose(robot)
 
     times = np.empty(n_steps)
     poses = np.empty((n_steps + 1, 3))
@@ -486,30 +484,3 @@ def speed_bl_per_cycle(record):
         raise ValueError("record contains no complete cycle")
     per_cycle = record.cycle_speed_blc
     return per_cycle, float(per_cycle.mean())
-
-
-def torque_vs_rft_ratio(phi, ratios, robot=None, ground=None,
-                        steps_per_cycle=100, params=None):
-    """Median |tau~| per joint for each fixed drag/Coulomb blend ratio.
-
-    One noise-free cycle per ratio; output rows follow the input order.
-    """
-    robot = robot or RobotModel()
-    ground = ground or GroundModel()
-    out = []
-    for rho in ratios:
-        if not 0 <= rho <= 1:
-            raise ValueError(f"blend ratio must lie in [0, 1], got {rho}")
-        base = params or GaitParams()
-        g = GaitParams(base.amplitude, base.frequency, phi, base.beta_land,
-                       base.beta_lift, base.duty, base.stance_offset,
-                       base.ramp_frac)
-        rec = simulate_trial(
-            g, TerrainProfile.flat(), n_cycles=1, seed=0, robot=robot,
-            ground=ground, steps_per_cycle=steps_per_cycle,
-            rho_override=rho,
-            load_cfg=percept.LoadPipelineConfig(noise_cov=0.0),
-        )
-        medians = np.median(np.abs(rec.torques), axis=0)
-        out.append((rho, medians))
-    return out

@@ -3,10 +3,13 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import granugait
 from granugait import cli, harness
 from granugait.config import RunConfig
 from granugait.errors import ConfigError, SolverError
@@ -88,6 +91,9 @@ def test_config_unparseable_value(tmp_path):
     ("mass", -1.0), ("duty", 0.0), ("alpha", 2.0), ("knn_k", 0),
     ("steps_per_cycle", 5), ("closedloop_depth", 50.0),
     ("phi_grid", (0.5,)), ("order", "nonsense"),
+    ("clip", -5.0), ("seed", -1), ("clamp_limit", 0.0), ("blend_frac", -0.1),
+    ("rho_grid", (1.5,)),
+    ("knn_k", 526),   # default training split: 3 * 7 * 10 * 5 // 2 = 525
 ])
 def test_config_validation_names_offending_key(key, value):
     cfg = RunConfig()
@@ -107,6 +113,26 @@ def test_config_rejects_non_finite_floats(key, value):
     setattr(cfg, key, value)
     with pytest.raises(ConfigError, match=key):
         cfg.validate()
+
+
+def test_knn_k_bounded_by_training_split():
+    split = 3 * len(SMALL["phi_grid"]) * SMALL["classify_trials_per_cell"] \
+        * SMALL["classify_cycles"] // 2
+    small_cfg(knn_k=split)
+    with pytest.raises(ConfigError, match="knn_k"):
+        small_cfg(knn_k=split + 1)
+
+
+def test_cli_rejects_negative_seed_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(granugait.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "granugait.cli", "calibrate", "--seed", "-1",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_rejects_infinite_mass(tmp_path, capsys):

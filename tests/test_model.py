@@ -6,13 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from granugait.config import RunConfig
 from granugait.gait import LegId
-from granugait.model import (
-    GroundModel, LegAttachment, RobotModel, TerrainProfile, blend_ratio,
-    element_reaction_force,
-)
+from granugait.model import GroundModel, RobotModel, TerrainProfile, blend_ratio
+from granugait.sim import ContactSet, contact_forces
 
 GM = GroundModel(rft_par=1.5, rft_perp=3.75, slip_eps=1e-4)
+
+
+def one_contact_force(v, heading, normal_load, gm, mu, rho):
+    """``contact_forces`` on one contact whose long axis points at
+    ``heading``."""
+    c = ContactSet(
+        pos=np.zeros((1, 2)),
+        axis=np.array([[math.cos(heading), math.sin(heading)]]),
+        rho=np.array([float(rho)]), normal=np.array([float(normal_load)]),
+        vshape=np.zeros((1, 2)), seg=np.zeros(1, dtype=int),
+        is_foot=np.zeros(1, dtype=bool), ref=np.zeros(2),
+    )
+    return contact_forces(np.array([v], dtype=float), c, gm, mu)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -36,35 +48,30 @@ def test_blend_ratio_monotone(d1, d2):
 
 
 # ---------------------------------------------------------------------------
-# element_reaction_force
+# Reaction-force law (sim.contact_forces) on a single contact
 
 def test_pure_axial_rft_drag():
-    f = element_reaction_force((0.1, 0.0), heading=0.0, normal_load=1.0,
-                               gm=GM, mu=0.3, rho=1.0)
+    f = one_contact_force((0.1, 0.0), heading=0.0, normal_load=1.0,
+                          gm=GM, mu=0.3, rho=1.0)
     np.testing.assert_allclose(f, [-GM.rft_par * 0.1, 0.0], atol=1e-12)
 
 
 def test_perpendicular_drag_exceeds_axial():
-    f_par = element_reaction_force((0.1, 0.0), 0.0, 1.0, GM, 0.3, 1.0)
-    f_perp = element_reaction_force((0.0, 0.1), 0.0, 1.0, GM, 0.3, 1.0)
+    f_par = one_contact_force((0.1, 0.0), 0.0, 1.0, GM, 0.3, 1.0)
+    f_perp = one_contact_force((0.0, 0.1), 0.0, 1.0, GM, 0.3, 1.0)
     np.testing.assert_allclose(f_perp, [0.0, -GM.rft_perp * 0.1], atol=1e-12)
     assert np.linalg.norm(f_perp) > np.linalg.norm(f_par)
 
 
 def test_coulomb_opposes_slip_at_mu_n():
     gm = GroundModel(1.5, 3.75, slip_eps=1e-12)
-    f = element_reaction_force((0.1, 0.0), 0.0, 1.0 / 0.3, gm, 0.3, 0.0)
+    f = one_contact_force((0.1, 0.0), 0.0, 1.0 / 0.3, gm, 0.3, 0.0)
     np.testing.assert_allclose(f, [-1.0, 0.0], atol=1e-9)
 
 
 def test_zero_velocity_zero_force():
-    f = element_reaction_force((0.0, 0.0), 0.7, 5.0, GM, 0.3, 0.4)
+    f = one_contact_force((0.0, 0.0), 0.7, 5.0, GM, 0.3, 0.4)
     np.testing.assert_allclose(f, [0.0, 0.0])
-
-
-def test_negative_normal_load_rejected():
-    with pytest.raises(ValueError):
-        element_reaction_force((0.1, 0.0), 0.0, -1.0, GM, 0.3, 0.0)
 
 
 @given(
@@ -75,16 +82,16 @@ def test_negative_normal_load_rejected():
 )
 def test_reaction_force_dissipative(vx, vy, heading, normal, rho):
     v = np.array([vx, vy])
-    f = element_reaction_force(v, heading, normal, GM, 0.3, rho)
+    f = one_contact_force(v, heading, normal, GM, 0.3, rho)
     assert float(f @ v) <= 1e-12
 
 
 @given(st.floats(min_value=0, max_value=2 * math.pi))
 def test_blend_interpolates_endpoints(heading):
     v = (0.05, -0.03)
-    f0 = element_reaction_force(v, heading, 2.0, GM, 0.3, 0.0)
-    f1 = element_reaction_force(v, heading, 2.0, GM, 0.3, 1.0)
-    fh = element_reaction_force(v, heading, 2.0, GM, 0.3, 0.5)
+    f0 = one_contact_force(v, heading, 2.0, GM, 0.3, 0.0)
+    f1 = one_contact_force(v, heading, 2.0, GM, 0.3, 1.0)
+    fh = one_contact_force(v, heading, 2.0, GM, 0.3, 0.5)
     np.testing.assert_allclose(fh, 0.5 * (f0 + f1), atol=1e-12)
 
 
@@ -142,15 +149,8 @@ def test_robot_validation(kwargs):
         RobotModel(**kwargs)
 
 
-def test_robot_rejects_bad_leg_segment():
-    attach = {
-        LegId.LF: LegAttachment(1, 0.09, 0.02),
-        LegId.RF: LegAttachment(1, 0.09, -0.02),
-        LegId.LH: LegAttachment(5, 0.0, 0.02),
-        LegId.RH: LegAttachment(3, 0.0, -0.02),
-    }
-    with pytest.raises(ValueError):
-        RobotModel(leg_attach=attach)
+def test_run_config_robot_is_default_robot():
+    assert RunConfig().robot() == RobotModel()
 
 
 def test_mirrored_negates_lateral_offsets_only():

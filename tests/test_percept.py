@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from granugait.errors import StructureError
 from granugait.percept import (
-    DEPTH_CLASSES, LabeledFeature, LoadPipelineConfig, OnlineLoadPipeline,
-    RECTIFY_THEN_LOWPASS, add_sensor_noise, cycle_median,
-    depth_from_load_linear, evaluate, knn_classify, knn_train, lowpass,
-    read_dataset, rectify, torque_to_load, trial_cycle_medians, write_dataset,
+    DEPTH_CLASSES, LOWPASS_THEN_RECTIFY, LabeledFeature, LoadPipelineConfig,
+    OnlineLoadPipeline, RECTIFY_THEN_LOWPASS, add_sensor_noise, evaluate,
+    knn_classify, knn_train, lowpass, read_dataset, rectify, torque_to_load,
+    trial_cycle_medians, write_dataset,
 )
 
 
@@ -63,7 +62,7 @@ def test_noise_rejects_negative_cov():
 
 
 # ---------------------------------------------------------------------------
-# lowpass / rectify / cycle_median
+# lowpass / rectify
 
 def test_lowpass_identity_at_alpha_one():
     x = np.array([3.0, -1.0, 2.0])
@@ -82,6 +81,14 @@ def test_lowpass_step_from_zero_closed_form():
     np.testing.assert_allclose(y[1:], 1.0 - 0.5 ** k)
 
 
+def test_lowpass_carried_state_continues_the_series():
+    x = np.random.default_rng(3).standard_normal((40, 3))
+    whole = lowpass(x, 0.3)
+    head = lowpass(x[:15], 0.3)
+    np.testing.assert_array_equal(lowpass(x[15:], 0.3, y0=head[-1]),
+                                  whole[15:])
+
+
 def test_lowpass_rejects_bad_input():
     with pytest.raises(ValueError):
         lowpass(np.empty(0), 0.5)
@@ -96,39 +103,50 @@ def test_rectify():
     np.testing.assert_array_equal(rectify(rectify([-5.0])), rectify([-5.0]))
 
 
-def test_cycle_median_conventions():
-    samples = np.array([1.0, 2, 3, 4, 5, 1, 2, 3, 4], dtype=float)
-    bounds = [0, 5]
-    assert cycle_median(samples, bounds, 0) == 3.0
-    assert cycle_median(samples, bounds, 1) == 2.5
-    with pytest.raises(ValueError):
-        cycle_median(samples, bounds, 2)
-
-
-@given(st.lists(st.floats(min_value=-100, max_value=100), min_size=3,
-                max_size=20))
-def test_cycle_median_permutation_invariant(vals):
-    x = np.array(vals)
-    rng = np.random.default_rng(0)
-    perm = x[rng.permutation(len(x))]
-    assert cycle_median(x, [0], 0) == cycle_median(perm, [0], 0)
-
-
 # ---------------------------------------------------------------------------
 # Online pipeline vs offline pipeline
 
 def test_online_and_offline_pipelines_agree():
+    """Streaming and offline medians are equal to the last bit, in both
+    orders, with a drawn and with a pinned bias."""
     rng_t = np.random.default_rng(5)
     torques = 0.2 * rng_t.standard_normal((200, 3))
-    cfg = LoadPipelineConfig()
-    online = OnlineLoadPipeline(cfg, np.random.default_rng(77))
-    for tau in torques:
-        online.push_raw(tau)
-    med_online = np.stack([online.cycle_median(c * 100, (c + 1) * 100)
-                           for c in range(2)])
-    med_offline = trial_cycle_medians(torques, 100, cfg,
-                                      np.random.default_rng(77))
-    np.testing.assert_allclose(med_online, med_offline, atol=1e-12)
+    for order in (LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS):
+        for bias in (None, (4.0, -2.5, 1.0)):
+            cfg = LoadPipelineConfig(order=order, bias=bias)
+            online = OnlineLoadPipeline(cfg, np.random.default_rng(77))
+            for tau in torques:
+                online.push_raw(tau)
+            med_online = np.stack([online.cycle_median(c * 50, (c + 1) * 50)
+                                   for c in range(4)])
+            med_offline = trial_cycle_medians(torques, 50, cfg,
+                                              np.random.default_rng(77))
+            np.testing.assert_array_equal(med_online, med_offline)
+
+
+# Unfiltered, noise-free pipeline: each load is |100 * tau|.
+PLAIN = LoadPipelineConfig(gain=100.0, noise_cov=0.0, alpha=1.0)
+
+
+def test_cycle_median_conventions():
+    online = OnlineLoadPipeline(PLAIN, np.random.default_rng(0))
+    for x in (1.0, 2, 3, 4, 5, 1, 2, 3, 4):
+        online.push_raw(np.full(3, x / 100.0))
+    with pytest.raises(ValueError):    # cycles are read in order
+        online.cycle_median(5, 9)
+    np.testing.assert_allclose(online.cycle_median(0, 5), 3.0)
+    np.testing.assert_allclose(online.cycle_median(5, 9), 2.5)
+
+
+@given(st.lists(st.floats(min_value=-1, max_value=1), min_size=3,
+                max_size=20))
+def test_cycle_median_permutation_invariant(vals):
+    x = np.repeat(np.array(vals)[:, None], 3, axis=1)
+    perm = x[np.random.default_rng(0).permutation(len(x))]
+    rng = np.random.default_rng(0)
+    np.testing.assert_array_equal(
+        trial_cycle_medians(x, len(x), PLAIN, rng),
+        trial_cycle_medians(perm, len(x), PLAIN, rng))
 
 
 def test_pipeline_order_configurable():
@@ -155,6 +173,8 @@ def test_fixed_bias_shifts_noise_free_loads():
 def test_config_validation():
     with pytest.raises(ValueError):
         LoadPipelineConfig(gain=0.0)
+    with pytest.raises(ValueError):
+        LoadPipelineConfig(clip=-5.0)
     with pytest.raises(ValueError):
         LoadPipelineConfig(noise_cov=-0.1)
     with pytest.raises(ValueError):
@@ -284,34 +304,6 @@ def test_evaluate_rejects_empty_test_set():
     clf = knn_train(_toy_dataset(), 6)
     with pytest.raises(ValueError):
         evaluate(clf, [])
-
-
-# ---------------------------------------------------------------------------
-# depth_from_load_linear
-
-def test_linear_depth_estimator_structure():
-    clf = knn_train(_toy_dataset(spread=1.0), 6)
-    est = depth_from_load_linear(clf, phi_probe=-math.pi / 6)
-    assert est(est.boundary_low) == pytest.approx(10.0)
-    assert est(est.boundary_high) == pytest.approx(30.0)
-    assert est(-1000.0) == 0.0
-    assert est(1000.0) == 40.0
-    taus = np.linspace(-10, 70, 100)
-    depths = [est(t) for t in taus]
-    assert all(a <= b + 1e-12 for a, b in zip(depths, depths[1:]))
-
-
-def test_linear_depth_estimator_rejects_scrambled_structure():
-    # classes interleaved along tau_m: no simply connected 0/20/40 bands
-    rng = np.random.default_rng(0)
-    data = []
-    for label in DEPTH_CLASSES:
-        for _ in range(30):
-            data.append(LabeledFeature(float(rng.uniform(0, 60)),
-                                       float(rng.uniform(-1.5, 0)), label))
-    clf = knn_train(data, 6)
-    with pytest.raises(StructureError):
-        depth_from_load_linear(clf)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from granugait import harness
 from granugait.config import RunConfig
 from granugait.errors import SolverError
 from granugait.gait import GaitParams
@@ -13,7 +14,6 @@ from granugait.percept import LoadPipelineConfig
 from granugait.sim import (
     ContactSet, JOINT_NAMES, build_contacts, chain_frames,
     compute_joint_torques, simulate_trial, speed_bl_per_cycle,
-    torque_vs_rft_ratio,
 )
 
 ROBOT = RobotModel()
@@ -199,26 +199,37 @@ def test_speed_requires_complete_cycle():
 
 
 # ---------------------------------------------------------------------------
-# torque_vs_rft_ratio
+# Median torque vs blend ratio (harness.run_model_torque)
+
+def _torque_table(rho_grid, **overrides):
+    cfg = RunConfig(rho_grid=rho_grid, steps_per_cycle=20, **overrides)
+    cfg.validate()
+    return harness.run_model_torque(cfg)
+
 
 def test_torque_table_shape_and_order():
-    out = torque_vs_rft_ratio(-math.pi / 3, [0.0, 0.5, 1.0],
-                              params=_params(-math.pi / 3))
-    assert [row[0] for row in out] == [0.0, 0.5, 1.0]
-    for _, medians in out:
+    table = _torque_table((0.0, 0.5, 1.0))
+    assert list(table) == [(phi, rho) for phi in (0.0, -math.pi / 3)
+                           for rho in (0.0, 0.5, 1.0)]
+    for medians in table.values():
         assert medians.shape == (3,)
         assert np.all(medians >= 0)
 
 
 def test_torque_endpoints_differ():
-    out = torque_vs_rft_ratio(-math.pi / 3, [0.0, 1.0],
-                              params=_params(-math.pi / 3))
-    assert not np.allclose(out[0][1], out[1][1])
+    table = _torque_table((0.0, 1.0))
+    assert not np.allclose(table[(-math.pi / 3, 0.0)],
+                           table[(-math.pi / 3, 1.0)])
 
 
-def test_torque_table_rejects_bad_ratio():
-    with pytest.raises(ValueError):
-        torque_vs_rft_ratio(0.0, [1.5])
+def test_torque_table_honours_the_joint_clamp():
+    """Model-torque runs with the configured joint clamp: switching it off
+    lets the wave reach its full amplitude and changes the torques."""
+    clamped = _torque_table((0.5,))
+    free = _torque_table((0.5,), clamp_enabled=False)
+    # lower joint, standing wave, 20 steps per cycle
+    assert clamped[(0.0, 0.5)][1] == pytest.approx(0.101, abs=1e-3)
+    assert free[(0.0, 0.5)][1] == pytest.approx(0.203, abs=1e-3)
 
 
 def test_joint_names():
