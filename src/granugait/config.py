@@ -144,6 +144,10 @@ class RunConfig:
             ("belly_weight_frac", 0 <= self.belly_weight_frac < 1),
             ("foot_gm_weight_frac",
              0 <= self.foot_gm_weight_frac < 1 - self.belly_weight_frac),
+            # shoulders sit on their segment, the left ones on the left
+            ("leg_lateral", self.leg_lateral > 0),
+            ("fore_along", 0 <= self.fore_along <= self.segment_length),
+            ("hind_along", 0 <= self.hind_along <= self.segment_length),
             ("rft_par", 0 < self.rft_par < self.rft_perp),
             ("slip_eps", self.slip_eps > 0),
             ("amplitude", self.amplitude > 0),

@@ -211,7 +211,8 @@ def generate_feature_dataset(cfg: RunConfig):
 
     The dynamics for a (depth, phi) cell are deterministic, so each cell is
     simulated once noise-free and its virtual trials differ only in the
-    seeded sensor-noise draw applied to the recorded torques.
+    seeded sensor-noise draw applied to the recorded torques; one load
+    pipeline call processes all of a cell's virtual trials.
     """
     features = {name: [] for name in JOINT_NAMES}
     rows = []
@@ -221,13 +222,13 @@ def generate_feature_dataset(cfg: RunConfig):
         for pi, phi in enumerate(cfg.phi_grid):
             rec = _simulate(cfg, phi, terrain, cfg.classify_cycles, 0,
                             load_cfg=cfg.load_cfg(noise_cov=0.0))
-            for trial in range(cfg.classify_trials_per_cell):
-                rng = np.random.default_rng(_subseed(cfg.seed, 100, di, pi, trial))
-                medians = percept.trial_cycle_medians(
-                    rec.torques, cfg.steps_per_cycle, cfg.load_cfg(), rng)
-                for cyc in range(cfg.classify_cycles):
-                    for j, name in enumerate(JOINT_NAMES):
-                        tau_m = float(medians[cyc, j])
+            rngs = (np.random.default_rng(_subseed(cfg.seed, 100, di, pi, trial))
+                    for trial in range(cfg.classify_trials_per_cell))
+            medians = percept.trial_cycle_medians(
+                rec.torques, cfg.steps_per_cycle, cfg.load_cfg(), rngs)
+            for trial, trial_medians in enumerate(medians.tolist()):
+                for cyc, cycle_medians in enumerate(trial_medians):
+                    for name, tau_m in zip(JOINT_NAMES, cycle_medians):
                         features[name].append(
                             LabeledFeature(tau_m, float(phi), depth))
                         rows.append((name, float(phi), tau_m, depth, trial, cyc))

@@ -9,6 +9,11 @@ streaming ``OnlineLoadPipeline``, which carries the filter state across
 cycles and so yields the same medians bit for bit.  A K-nearest-neighbors
 model over (median load, phase offset) features then classifies bead
 depth into the {0, 20, 40} mm classes.
+
+Both offline stages also take a batch: ``trial_cycle_medians`` accepts an
+iterable of generators, one per virtual trial over the same torques, and
+``knn_classify`` accepts 1-D arrays of queries.  A batched call gives the
+same results bit for bit as one call per trial or per query.
 """
 
 from __future__ import annotations
@@ -113,9 +118,13 @@ def rectify(samples):
 
 def _raw_loads(tau, cfg, bias, rng):
     """Raw stage: clipped load plus the zero offset, then sensor noise."""
-    raw = torque_to_load(tau, cfg.gain, cfg.clip) + bias
+    return _noisy(torque_to_load(tau, cfg.gain, cfg.clip) + bias, cfg, rng)
+
+
+def _noisy(raw, cfg, rng):
+    """Multiplicative sensor noise, when the sensor model has any."""
     if cfg.noise_cov > 0:
-        raw = add_sensor_noise(raw, cfg.noise_cov, rng)
+        return add_sensor_noise(raw, cfg.noise_cov, rng)
     return raw
 
 
@@ -167,16 +176,26 @@ class OnlineLoadPipeline:
 def trial_cycle_medians(torques, steps_per_cycle, cfg, rng):
     """Full load pipeline applied offline to a (N, 3) torque history.
 
-    Returns per-cycle medians (C, 3), equal to streaming the trial through
-    OnlineLoadPipeline with the same generator.
+    With one generator, returns per-cycle medians (C, 3), equal to
+    streaming the trial through OnlineLoadPipeline with that generator.
+    With an iterable of generators, one per virtual trial over the same
+    torques, returns (T, C, 3), equal bit for bit to one call per
+    generator: each draws its bias, then its noise, and the filter stage
+    runs once over the stacked (N, T, 3) block.
     """
     torques = np.asarray(torques, dtype=float)
     n = len(torques)
     if n == 0 or n % steps_per_cycle != 0:
         raise ValueError("torque history must hold whole cycles")
-    proc, _ = _filtered(_raw_loads(torques, cfg, _bias(cfg, rng), rng), cfg)
-    c = n // steps_per_cycle
-    return np.median(proc.reshape(c, steps_per_cycle, 3), axis=1)
+    single = isinstance(rng, np.random.Generator)
+    load = torque_to_load(torques, cfg.gain, cfg.clip)
+    # Generators are consumed one at a time, so none outlives its draws.
+    raw = np.stack([_noisy(load + _bias(cfg, g), cfg, g)
+                    for g in ([rng] if single else rng)], axis=1)
+    proc, _ = _filtered(raw, cfg)
+    med = np.median(proc.reshape(n // steps_per_cycle, steps_per_cycle, -1, 3),
+                    axis=1).transpose(1, 0, 2)
+    return med[0] if single else med
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +229,8 @@ def knn_train(data, k):
         raise ValueError(f"k must lie in [1, {len(data)}], got {k}")
     X = np.array([[f.tau_m, f.phi] for f in data], dtype=float)
     y = np.array([f.label for f in data])
+    if not np.isfinite(X).all():
+        raise ValueError("training features must be finite")
     present = set(np.unique(y))
     if present != set(DEPTH_CLASSES):
         missing = sorted(set(DEPTH_CLASSES) - present)
@@ -220,36 +241,65 @@ def knn_train(data, k):
     return DepthClassifier((X - mean) / scale, y, k, mean, scale)
 
 
+#: Queries per (chunk, n) distance block.  Larger blocks barely run faster
+#: but raise peak memory: 64 rows cost about 6 MiB more than 4.
+KNN_CHUNK = 4
+
+
 def knn_classify(c, tau_m, phi):
     """Majority label among the k nearest standardized-Euclidean neighbors.
 
-    Ties are broken by the nearest neighbor among the tied classes, then by
-    the smaller depth label.
+    Distance ties go to the earlier training point.  A tied vote goes to
+    the tied class of the nearest neighbor.  Scalar ``tau_m``, ``phi`` give
+    an ``int``; 1-D arrays give an array of labels, equal element by
+    element to scalar calls.
     """
-    q = (np.array([tau_m, phi], dtype=float) - c.mean) / c.scale
-    d2 = np.sum((c.features - q) ** 2, axis=1)
-    order = np.lexsort((np.arange(len(d2)), d2))
-    top = c.labels[order[: c.k]]
-    counts = {lab: int((top == lab).sum()) for lab in DEPTH_CLASSES}
-    best = max(counts.values())
-    tied = [lab for lab in DEPTH_CLASSES if counts[lab] == best]
-    if len(tied) == 1:
-        return tied[0]
-    for lab in top:  # nearest-first scan over the k neighbors
-        if lab in tied:
-            return int(lab)
-    return min(tied)
+    tau, phi = np.asarray(tau_m, dtype=float), np.asarray(phi, dtype=float)
+    if tau.ndim > 1 or tau.shape != phi.shape:
+        raise ValueError("tau_m and phi must be scalars or 1-D arrays of "
+                         "one length")
+    q = (np.stack([np.atleast_1d(tau), np.atleast_1d(phi)], axis=1)
+         - c.mean) / c.scale
+    if not np.isfinite(q).all():
+        raise ValueError("KNN queries must be finite")
+    classes = np.array(DEPTH_CLASSES)
+    label_idx = np.searchsorted(classes, c.labels)
+    f0, f1 = c.features[:, 0], c.features[:, 1]
+    k = c.k
+    out = np.empty(len(q), dtype=int)
+    for lo in range(0, len(q), KNN_CHUNK):
+        qc = q[lo:lo + KNN_CHUNK]
+        d2 = f0 - qc[:, :1]
+        d2 *= d2
+        d1 = f1 - qc[:, 1:]
+        d1 *= d1
+        d2 += d1      # (f0 - q0)**2 + (f1 - q1)**2, in place
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+        # Candidates at or below the k-th distance, ordered by (query,
+        # distance, training index); the first k of each query are its
+        # neighbors, nearest first.
+        rows, cols = np.nonzero(d2 <= kth)
+        order = np.lexsort((cols, d2[rows, cols], rows))
+        starts = np.searchsorted(rows, np.arange(len(qc)))
+        top = label_idx[cols[order[starts[:, None] + np.arange(k)]]]
+        counts = (top[:, :, None] == np.arange(len(classes))).sum(axis=1)
+        tied = counts == counts.max(axis=1, keepdims=True)
+        # The first neighbor whose class has the most votes wins.
+        first = np.take_along_axis(tied, top, axis=1).argmax(axis=1)
+        out[lo:lo + KNN_CHUNK] = classes[top[np.arange(len(qc)), first]]
+    return int(out[0]) if tau.ndim == 0 else out
 
 
 def evaluate(c, test_set):
     """3x3 confusion matrix (rows = true class) and overall accuracy."""
     if not test_set:
         raise ValueError("test set must be nonempty")
-    idx = {lab: i for i, lab in enumerate(DEPTH_CLASSES)}
+    pred = knn_classify(c, [f.tau_m for f in test_set],
+                        [f.phi for f in test_set])
+    classes = np.array(DEPTH_CLASSES)
+    true = np.searchsorted(classes, [f.label for f in test_set])
     confusion = np.zeros((3, 3), dtype=int)
-    for f in test_set:
-        pred = knn_classify(c, f.tau_m, f.phi)
-        confusion[idx[f.label], idx[pred]] += 1
+    np.add.at(confusion, (true, np.searchsorted(classes, pred)), 1)
     accuracy = float(np.trace(confusion)) / len(test_set)
     return confusion, accuracy
 

@@ -14,6 +14,9 @@ from granugait import cli, harness
 from granugait.config import RunConfig
 from granugait.errors import ConfigError, SolverError
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs")
+
 SMALL = dict(
     phi_grid=(0.0, -math.pi / 3), depths=(0.0, 40.0), sweep_trials=1,
     sweep_cycles=2, steps_per_cycle=50, rho_grid=(0.0, 1.0),
@@ -94,6 +97,8 @@ def test_config_unparseable_value(tmp_path):
     ("clip", -5.0), ("seed", -1), ("clamp_limit", 0.0), ("blend_frac", -0.1),
     ("rho_grid", (1.5,)),
     ("knn_k", 526),   # default training split: 3 * 7 * 10 * 5 // 2 = 525
+    ("fore_along", 5.0), ("fore_along", -0.01), ("hind_along", 0.2),
+    ("hind_along", -0.01), ("leg_lateral", 0.0), ("leg_lateral", -0.02),
 ])
 def test_config_validation_names_offending_key(key, value):
     cfg = RunConfig()
@@ -133,6 +138,26 @@ def test_cli_rejects_negative_seed_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "seed" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_rejects_shoulder_off_its_segment_without_traceback(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[robot]\nfore_along = 5.0\n")
+    src = os.path.dirname(os.path.dirname(granugait.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "granugait.cli", "calibrate", "--config",
+         str(bad), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "fore_along" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_shipped_configs_validate():
+    for name in ("default.ini", "quick.ini"):
+        RunConfig.from_ini(os.path.join(CONFIGS, name))
 
 
 def test_cli_rejects_infinite_mass(tmp_path, capsys):

@@ -170,6 +170,33 @@ def test_fixed_bias_shifts_noise_free_loads():
     np.testing.assert_allclose(med[0], [5.0, 3.0, 1.0])
 
 
+@pytest.mark.parametrize("order", [LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS])
+@pytest.mark.parametrize("noise_cov", [0.0, 0.13])
+@pytest.mark.parametrize("bias", [None, (4.0, -2.5, 1.0)])
+def test_many_generators_equal_one_call_each(order, noise_cov, bias):
+    """T generators in one call give the T single-generator results bit
+    for bit, over C = 3 cycles, in both orders, with and without noise,
+    with a drawn and with a pinned bias."""
+    torques = 0.3 * np.random.default_rng(8).standard_normal((60, 3))
+    cfg = LoadPipelineConfig(order=order, noise_cov=noise_cov, bias=bias)
+    seeds = (3, 14, 15, 92, 65)
+    batch = trial_cycle_medians(
+        torques, 20, cfg, (np.random.default_rng(s) for s in seeds))
+    assert batch.shape == (len(seeds), 3, 3)
+    for s, got in zip(seeds, batch):
+        np.testing.assert_array_equal(
+            got, trial_cycle_medians(torques, 20, cfg,
+                                     np.random.default_rng(s)))
+
+
+def test_many_generators_leave_each_generator_where_one_call_does():
+    torques = np.ones((40, 3))
+    a, b = np.random.default_rng(1), np.random.default_rng(1)
+    trial_cycle_medians(torques, 20, LoadPipelineConfig(), [a])
+    trial_cycle_medians(torques, 20, LoadPipelineConfig(), b)
+    assert a.random() == b.random()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         LoadPipelineConfig(gain=0.0)
@@ -235,6 +262,8 @@ def test_knn_training_validation():
     single = [f for f in data if f.label == 0]
     with pytest.raises(ValueError):
         knn_train(single, 1)
+    with pytest.raises(ValueError):
+        knn_train(data + [LabeledFeature(math.nan, 0.0, 0)], 1)
 
 
 def test_labeled_feature_rejects_unknown_class():
@@ -256,6 +285,64 @@ def test_knn_matches_brute_force_oracle():
         phi = float(rng.uniform(-math.pi / 2, 0))
         assert knn_classify(clf, tau, phi) == _brute_force_knn(
             data, 6, tau, phi, clf.mean, clf.scale)
+
+
+def _tie_heavy_dataset(seed=5):
+    """Points on a coarse grid with many exact duplicates and mixed labels:
+    equal distances and tied votes are common."""
+    rng = np.random.default_rng(seed)
+    data = [LabeledFeature(float(rng.integers(0, 4)),
+                           -math.pi / 6 * float(rng.integers(0, 3)),
+                           int(rng.choice(DEPTH_CLASSES)))
+            for _ in range(40)]
+    return data + data[:10]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 50])
+def test_knn_array_equals_scalar_calls_and_oracle_on_ties(k):
+    data = _tie_heavy_dataset()
+    assert k <= len(data)
+    clf = knn_train(data, k)
+    rng = np.random.default_rng(k)
+    # exactly on training points, halfway between grid points, and random
+    tau = np.concatenate([[f.tau_m for f in data],
+                          np.arange(-0.5, 4.0, 0.5).repeat(3),
+                          rng.uniform(-1, 4, 30)])
+    phi = np.concatenate([[f.phi for f in data],
+                          np.tile([0.0, -math.pi / 12, -math.pi / 4], 9),
+                          rng.uniform(-math.pi / 2, 0, 30)])
+    got = knn_classify(clf, tau, phi)
+    assert got.shape == tau.shape
+    want = [_brute_force_knn(data, k, t, p, clf.mean, clf.scale)
+            for t, p in zip(tau, phi)]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        got, [knn_classify(clf, float(t), float(p)) for t, p in zip(tau, phi)])
+
+
+def test_knn_scalar_query_returns_int():
+    clf = knn_train(_toy_dataset(), 6)
+    assert type(knn_classify(clf, 30.0, -0.5)) is int
+    assert type(knn_classify(clf, np.float64(30.0), np.float64(-0.5))) is int
+
+
+def test_knn_rejects_bad_queries():
+    clf = knn_train(_toy_dataset(), 6)
+    with pytest.raises(ValueError):
+        knn_classify(clf, [1.0, 2.0], [0.0])
+    with pytest.raises(ValueError):
+        knn_classify(clf, math.nan, 0.0)
+
+
+def test_evaluate_matches_scalar_queries():
+    data = _tie_heavy_dataset()
+    clf = knn_train(data[::2], 4)
+    confusion, _ = evaluate(clf, data)
+    want = np.zeros((3, 3), dtype=int)
+    for f in data:
+        pred = knn_classify(clf, f.tau_m, f.phi)
+        want[DEPTH_CLASSES.index(f.label), DEPTH_CLASSES.index(pred)] += 1
+    np.testing.assert_array_equal(confusion, want)
 
 
 def test_knn_scale_invariance():
