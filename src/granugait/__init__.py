@@ -4,15 +4,14 @@ lizard-like quadruped on granular media of varying depth."""
 __version__ = "0.1.0"
 
 from .gait import (  # noqa: F401
-    BodyWave, GaitParams, LegId, LegPhase, body_joint_angle, body_joint_rate,
-    leg_command, optimal_phase_for_depth,
+    BodyWave, GaitParams, LegId, body_joint_angle, body_joint_rate,
+    optimal_phase_for_depth,
 )
 from .model import (  # noqa: F401
     GroundModel, RobotModel, TerrainProfile, blend_ratio,
 )
 from .sim import (  # noqa: F401
     TrialRecord, simulate_trial, solve_quasistatic_velocity,
-    speed_bl_per_cycle,
 )
 from .percept import (  # noqa: F401
     DepthClassifier, LabeledFeature, LoadPipelineConfig, add_sensor_noise,

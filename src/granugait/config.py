@@ -13,70 +13,67 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .gait import BODY_JOINT_LIMIT, GaitParams
-from .model import GroundModel, RobotModel
-from .percept import (
-    DEPTH_CLASSES, LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS,
-    LoadPipelineConfig,
-)
+from .gait import BLEND_FRAC, BODY_JOINT_LIMIT, GaitParams
+from .model import MAX_DEPTH_MM, GroundModel, RobotModel
+from .percept import DEPTH_CLASSES, LoadPipelineConfig
 from .control import ControllerParams
+from .sim import STEPS_PER_CYCLE
 
 DEFAULT_PHI_GRID = (0.0, -math.pi / 12, -math.pi / 6, -math.pi / 4,
                     -math.pi / 3, -5 * math.pi / 12, -math.pi / 2)
 
-EXPERIMENT_KINDS = ("sweep", "model-torque", "classify", "closedloop",
-                    "transition", "calibrate")
-
 
 @dataclass
 class RunConfig:
+    """Every experiment setting.  A key that feeds a component (robot,
+    ground, gait, load pipeline, controller) shares the name, default and
+    range check of that component's field."""
+
     # [robot]
-    mass: float = 0.6
-    friction: float = 0.3
-    segment_length: float = 0.1125
-    belly_elements_per_segment: int = 8
-    belly_weight_frac: float = 0.15
-    foot_gm_weight_frac: float = 0.06
-    leg_lateral: float = 0.02
-    fore_along: float = 0.09
-    hind_along: float = 0.0
+    mass: float = RobotModel.mass
+    friction: float = RobotModel.friction
+    segment_length: float = RobotModel.segment_length
+    belly_elements_per_segment: int = RobotModel.belly_elements_per_segment
+    belly_weight_frac: float = RobotModel.belly_weight_frac
+    foot_gm_weight_frac: float = RobotModel.foot_gm_weight_frac
+    leg_lateral: float = RobotModel.leg_lateral
+    fore_along: float = RobotModel.fore_along
+    hind_along: float = RobotModel.hind_along
 
     # [ground]
-    rft_par: float = 1.5
-    rft_perp: float = 3.75
-    slip_eps: float = 1e-4
+    rft_par: float = GroundModel.rft_par
+    rft_perp: float = GroundModel.rft_perp
+    slip_eps: float = GroundModel.slip_eps
 
     # [gait]
-    amplitude: float = 1.0
-    frequency: float = 1.0
-    duty: float = 0.5
-    beta_land: float = math.pi / 3
-    beta_lift: float = 0.0
-    stance_offset: float = -math.pi / 4
-    ramp_frac: float = 0.05
+    amplitude: float = GaitParams.amplitude
+    frequency: float = GaitParams.frequency
+    duty: float = GaitParams.duty
+    stance_offset: float = GaitParams.stance_offset
+    ramp_frac: float = GaitParams.ramp_frac
     clamp_enabled: bool = True
     clamp_limit: float = BODY_JOINT_LIMIT
-    blend_frac: float = 0.1
+    blend_frac: float = BLEND_FRAC
 
     # [percept]
-    gain: float = 175.0
-    noise_cov: float = 0.13
-    bias_sd: float = 5.0
-    alpha: float = 0.45
-    order: str = LOWPASS_THEN_RECTIFY
-    clip: float = 100.0
+    gain: float = LoadPipelineConfig.gain
+    noise_cov: float = LoadPipelineConfig.noise_cov
+    bias_sd: float = LoadPipelineConfig.bias_sd
+    alpha: float = LoadPipelineConfig.alpha
+    order: str = LoadPipelineConfig.order
+    clip: float = LoadPipelineConfig.clip
 
     # [control]
-    b1: float = -0.004
-    k: float = 0.005
-    phi0: float = -math.pi / 6
-    phi_min: float = -math.pi / 2
-    phi_max: float = 0.0
+    b1: float = ControllerParams.b1
+    k: float = ControllerParams.k
+    phi0: float = ControllerParams.phi0
+    phi_min: float = ControllerParams.phi_min
+    phi_max: float = ControllerParams.phi_max
     calibration_phi: float = 0.0
 
     # [experiment]
     seed: int = 12345
-    steps_per_cycle: int = 100
+    steps_per_cycle: int = STEPS_PER_CYCLE
     depths: tuple = (0.0, 20.0, 40.0)
     phi_grid: tuple = DEFAULT_PHI_GRID
     sweep_trials: int = 3
@@ -86,7 +83,7 @@ class RunConfig:
     classify_cycles: int = 5
     knn_k: int = 6
     closedloop_cycles: int = 24
-    closedloop_depth: float = 40.0
+    closedloop_depth: float = MAX_DEPTH_MM
     closedloop_phi_init: float = 0.0
     transition_cycles: int = 25
     transition_flat_length: float = 0.02
@@ -98,9 +95,8 @@ class RunConfig:
                   "foot_gm_weight_frac", "leg_lateral", "fore_along",
                   "hind_along"),
         "ground": ("rft_par", "rft_perp", "slip_eps"),
-        "gait": ("amplitude", "frequency", "duty", "beta_land", "beta_lift",
-                 "stance_offset", "ramp_frac", "clamp_enabled", "clamp_limit",
-                 "blend_frac"),
+        "gait": ("amplitude", "frequency", "duty", "stance_offset",
+                 "ramp_frac", "clamp_enabled", "clamp_limit", "blend_frac"),
         "percept": ("gain", "noise_cov", "bias_sd", "alpha", "order", "clip"),
         "control": ("b1", "k", "phi0", "phi_min", "phi_max",
                     "calibration_phi"),
@@ -111,6 +107,7 @@ class RunConfig:
                        "closedloop_phi_init", "transition_cycles",
                        "transition_flat_length", "transition_ramp_length"),
     }
+    _KEYS = frozenset(key for keys in _SECTIONS.values() for key in keys)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -132,42 +129,39 @@ class RunConfig:
         return cfg
 
     def validate(self):
+        """Raise ``ConfigError`` naming the first key out of range.
+
+        The components check their own fields; this adds only what none of
+        them owns, and requires every phase an experiment can command to be
+        a valid gait phase, in [-pi/2, 0].
+        """
+        # inf passes every one-sided bound, so non-finite values are
+        # rejected first.
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), float):
+                _require(self, f.name, math.isfinite(getattr(self, f.name)))
+        # Component fields carry the names of the keys that feed them.
+        try:
+            self.robot()
+            self.ground()
+            self.load_cfg()
+            self.controller_params(0.0)
+            self.gait(0.0)
+        except ValueError as err:
+            raise ConfigError(f"config value out of range: {err}") from err
         # the KNN trains on half of the classify dataset
         train_size = (len(DEPTH_CLASSES) * len(self.phi_grid)
                       * self.classify_trials_per_cell * self.classify_cycles
                       // 2)
-        checks = [
-            ("mass", self.mass > 0),
-            ("friction", self.friction > 0),
-            ("segment_length", self.segment_length > 0),
-            ("belly_elements_per_segment", self.belly_elements_per_segment >= 2),
-            ("belly_weight_frac", 0 <= self.belly_weight_frac < 1),
-            ("foot_gm_weight_frac",
-             0 <= self.foot_gm_weight_frac < 1 - self.belly_weight_frac),
-            # shoulders sit on their segment, the left ones on the left
+        for key, ok in [
+            # left shoulders on the left; the robot itself takes either
+            # sign, since its mirror image negates it
             ("leg_lateral", self.leg_lateral > 0),
-            ("fore_along", 0 <= self.fore_along <= self.segment_length),
-            ("hind_along", 0 <= self.hind_along <= self.segment_length),
-            ("rft_par", 0 < self.rft_par < self.rft_perp),
-            ("slip_eps", self.slip_eps > 0),
-            ("amplitude", self.amplitude > 0),
-            ("frequency", self.frequency > 0),
-            ("duty", 0 < self.duty <= 1),
-            ("beta_land", 0 < self.beta_land <= math.pi / 2),
-            ("ramp_frac", 0 <= self.ramp_frac < 0.5),
             ("clamp_limit", self.clamp_limit > 0),
             ("blend_frac", self.blend_frac >= 0),
-            ("gain", self.gain > 0),
-            ("noise_cov", self.noise_cov >= 0),
-            ("bias_sd", self.bias_sd >= 0),
-            ("alpha", 0 < self.alpha <= 1),
-            ("order", self.order in (LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS)),
-            ("clip", self.clip > 0),
-            ("k", 0 < self.k < 1),
-            ("phi_min", self.phi_min < self.phi_max),
             ("seed", self.seed >= 0),
             ("steps_per_cycle", self.steps_per_cycle >= 10),
-            ("depths", all(0 <= d <= 40 for d in self.depths)),
+            ("depths", all(0 <= d <= MAX_DEPTH_MM for d in self.depths)),
             ("phi_grid", len(self.phi_grid) > 0
              and all(self.phi_min - 1e-9 <= p <= self.phi_max + 1e-9
                      for p in self.phi_grid)),
@@ -178,58 +172,50 @@ class RunConfig:
             ("classify_cycles", self.classify_cycles >= 1),
             ("knn_k", 1 <= self.knn_k <= train_size),
             ("closedloop_cycles", self.closedloop_cycles >= 1),
-            ("closedloop_depth", 0 <= self.closedloop_depth <= 40),
+            ("closedloop_depth", 0 <= self.closedloop_depth <= MAX_DEPTH_MM),
             ("closedloop_phi_init",
              self.phi_min <= self.closedloop_phi_init <= self.phi_max),
             ("transition_cycles", self.transition_cycles >= 1),
             ("transition_flat_length", self.transition_flat_length >= 0),
             ("transition_ramp_length", self.transition_ramp_length > 0),
-        ]
-        # inf passes every one-sided bound above, so non-finite values are
-        # rejected first, naming the offending key.
-        checks = [(f.name, math.isfinite(getattr(self, f.name)))
-                  for f in fields(self)
-                  if isinstance(getattr(self, f.name), float)] + checks
-        for key, ok in checks:
-            if not ok:
+        ]:
+            _require(self, key, ok)
+        # The bounds first, then the phases held to them.
+        phases = ([("phi_min", self.phi_min), ("phi_max", self.phi_max)]
+                  + [("phi_grid", p) for p in self.phi_grid]
+                  + [("calibration_phi", self.calibration_phi),
+                     ("closedloop_phi_init", self.closedloop_phi_init)])
+        for key, phi in phases:
+            try:
+                self.gait(phi)
+            except ValueError as err:
                 raise ConfigError(
-                    f"config value out of range: {key} = {getattr(self, key)!r}"
-                )
+                    f"config value out of range: {key} = {phi!r} ({err})"
+                ) from err
 
     # ------------------------------------------------------------------
+    def _component(self, cls, **given):
+        """``cls`` with every field that shares a config key's name taken
+        from this config, and the rest from ``given`` or the defaults."""
+        own = {f.name: getattr(self, f.name) for f in fields(cls)
+               if f.name in self._KEYS}
+        return cls(**{**own, **given})
+
     def robot(self):
-        return RobotModel(
-            mass=self.mass, friction=self.friction,
-            segment_length=self.segment_length,
-            belly_elements_per_segment=self.belly_elements_per_segment,
-            belly_weight_frac=self.belly_weight_frac,
-            foot_gm_weight_frac=self.foot_gm_weight_frac,
-            fore_along=self.fore_along, hind_along=self.hind_along,
-            leg_lateral=self.leg_lateral,
-        )
+        return self._component(RobotModel)
 
     def ground(self):
-        return GroundModel(self.rft_par, self.rft_perp, self.slip_eps)
+        return self._component(GroundModel)
 
     def gait(self, phi):
-        return GaitParams(
-            amplitude=self.amplitude, frequency=self.frequency,
-            body_phase=phi, beta_land=self.beta_land,
-            beta_lift=self.beta_lift, duty=self.duty,
-            stance_offset=self.stance_offset, ramp_frac=self.ramp_frac,
-        )
+        return self._component(GaitParams, body_phase=phi)
 
     def load_cfg(self, noise_cov=None, bias=None):
-        cov = self.noise_cov if noise_cov is None else noise_cov
-        return LoadPipelineConfig(gain=self.gain, clip=self.clip,
-                                  noise_cov=cov, bias_sd=self.bias_sd,
-                                  bias=bias, alpha=self.alpha,
-                                  order=self.order)
+        given = {} if noise_cov is None else {"noise_cov": noise_cov}
+        return self._component(LoadPipelineConfig, bias=bias, **given)
 
     def controller_params(self, tau0):
-        return ControllerParams(b1=self.b1, k=self.k, phi0=self.phi0,
-                                tau0=tau0, phi_min=self.phi_min,
-                                phi_max=self.phi_max)
+        return self._component(ControllerParams, tau0=tau0)
 
     @property
     def effective_clamp(self):
@@ -248,6 +234,12 @@ class RunConfig:
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
+
+
+def _require(cfg, key, ok):
+    if not ok:
+        raise ConfigError(
+            f"config value out of range: {key} = {getattr(cfg, key)!r}")
 
 
 def _convert(key, raw, default):

@@ -26,8 +26,9 @@ class ControllerParams:
     def __post_init__(self):
         if not 0 < self.k < 1:
             raise ValueError(f"k must lie in (0, 1), got {self.k}")
-        if self.phi_min >= self.phi_max:
-            raise ValueError("phi clamp range is empty")
+        if not self.phi_min < self.phi_max:
+            raise ValueError(f"phi_min must lie below phi_max, got "
+                             f"{self.phi_min} >= {self.phi_max}")
 
     def clamp(self, phi):
         return min(max(phi, self.phi_min), self.phi_max)

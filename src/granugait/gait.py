@@ -19,6 +19,9 @@ TWO_PI = 2.0 * math.pi
 #: Hardware bending range is pi/2 total per body joint.
 BODY_JOINT_LIMIT = math.pi / 4
 
+#: Fraction of a cycle over which a phase switch blends into the new wave.
+BLEND_FRAC = 0.1
+
 
 class LegId(Enum):
     LF = "LF"
@@ -32,11 +35,6 @@ DIAGONAL_PAIR_A = (LegId.LF, LegId.RH)
 DIAGONAL_PAIR_B = (LegId.RF, LegId.LH)
 
 
-class LegPhase(Enum):
-    STANCE = "stance"
-    SWING = "swing"
-
-
 @dataclass(frozen=True)
 class GaitParams:
     """Parameters that fully determine the commanded joint trajectories."""
@@ -44,11 +42,9 @@ class GaitParams:
     amplitude: float = 1.0          # rad
     frequency: float = 1.0          # rad/s
     body_phase: float = 0.0         # rad, in [-pi/2, 0]
-    beta_land: float = math.pi / 3  # rad, shoulder angle in stance
-    beta_lift: float = 0.0          # rad, shoulder angle in swing
     duty: float = 0.5               # fraction of cycle in stance
-    stance_offset: float = 0.0      # rad, stance alignment relative to body wave
-    ramp_frac: float = 0.05         # fraction of cycle over which beta ramps
+    stance_offset: float = -math.pi / 4  # rad, stance alignment to body wave
+    ramp_frac: float = 0.05         # fraction of cycle over which contact ramps
 
     def __post_init__(self):
         if not self.amplitude > 0:
@@ -61,16 +57,8 @@ class GaitParams:
             )
         if not 0 < self.duty <= 1:
             raise ValueError(f"duty must lie in (0, 1], got {self.duty}")
-        if not 0 < self.beta_land <= math.pi / 2:
-            raise ValueError(f"beta_land must lie in (0, pi/2], got {self.beta_land}")
         if not 0 <= self.ramp_frac < 0.5:
             raise ValueError(f"ramp_frac must lie in [0, 0.5), got {self.ramp_frac}")
-
-
-@dataclass(frozen=True)
-class LegCommand:
-    phase: LegPhase
-    beta: float  # rad below horizontal
 
 
 def _check_joint(n):
@@ -106,28 +94,16 @@ def _stance_start(leg, g):
     return (g.stance_offset + math.pi) % TWO_PI
 
 
-def leg_command(leg, t, g):
-    """Stance/swing state and shoulder angle for ``leg`` at cycle phase ``t``.
-
-    Stance windows are half-open; the boundary instant belongs to the pair
-    entering stance.
-    """
-    if not isinstance(leg, LegId):
-        raise ValueError(f"unknown leg id {leg!r}")
-    _check_cycle_phase(t)
-    rel = (t - _stance_start(leg, g)) % TWO_PI
-    if rel < g.duty * TWO_PI:
-        return LegCommand(LegPhase.STANCE, g.beta_land)
-    return LegCommand(LegPhase.SWING, g.beta_lift)
-
-
 def leg_contact_fraction(leg, t, g):
     """Ground-contact weight in [0, 1] for ``leg`` at cycle phase ``t``.
 
-    The commanded shoulder angle ramps linearly over ``ramp_frac`` of the
-    cycle at touch-down and lift-off; the contact weight follows the same
-    trapezoid so the solver never sees an impulsive contact change.
+    Stance windows are half-open; the boundary instant belongs to the pair
+    entering stance.  The weight ramps linearly over ``ramp_frac`` of the
+    cycle at touch-down and lift-off, a trapezoid, so the solver never sees
+    an impulsive contact change.
     """
+    if not isinstance(leg, LegId):
+        raise ValueError(f"unknown leg id {leg!r}")
     _check_cycle_phase(t)
     rel = (t - _stance_start(leg, g)) % TWO_PI
     width = g.duty * TWO_PI
@@ -165,7 +141,7 @@ class BodyWave:
     """
 
     def __init__(self, params: GaitParams, clamp_limit=BODY_JOINT_LIMIT,
-                 blend_frac=0.1, mirror=False):
+                 blend_frac=BLEND_FRAC, mirror=False):
         self.params = params
         self.phi = params.body_phase
         self.clamp_limit = clamp_limit

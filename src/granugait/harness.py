@@ -18,7 +18,7 @@ from . import __version__, control, percept
 from .config import RunConfig
 from .errors import SolverError
 from .gait import optimal_phase_for_depth
-from .model import TerrainProfile
+from .model import MAX_DEPTH_MM, TerrainProfile
 from .percept import DEPTH_CLASSES, LabeledFeature
 from .sim import JOINT_NAMES, simulate_trial
 
@@ -99,7 +99,8 @@ def run_calibrate(cfg: RunConfig, out_dir=None, bias=None):
     if bias is None:
         bias = _session_bias(cfg)
     air_load = 0.0
-    rec = _simulate(cfg, cfg.calibration_phi, TerrainProfile.constant(40.0),
+    rec = _simulate(cfg, cfg.calibration_phi,
+                    TerrainProfile.constant(MAX_DEPTH_MM),
                     cfg.sweep_cycles, _subseed(cfg.seed, 9000),
                     load_cfg=cfg.load_cfg(bias=bias))
     max_load = float(rec.cycle_median_load[:, 1].mean())
@@ -348,7 +349,7 @@ class TransitionResult:
 
 def transition_terrain(cfg: RunConfig):
     return TerrainProfile.ramp(cfg.transition_flat_length,
-                               cfg.transition_ramp_length, 40.0)
+                               cfg.transition_ramp_length)
 
 
 def run_transition(cfg: RunConfig, out_dir=None, calibration=None):

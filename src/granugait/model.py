@@ -50,15 +50,28 @@ class RobotModel:
     def __post_init__(self):
         if self.n_segments != 4:
             raise ValueError("the body model is fixed at four segments")
-        if self.mass <= 0 or self.friction <= 0:
-            raise ValueError("mass and friction must be positive")
-        if self.belly_elements_per_segment < 2:
-            raise ValueError("need at least two belly elements per segment")
-        if not 0 <= self.belly_weight_frac < 1:
-            raise ValueError("belly_weight_frac must lie in [0, 1)")
-        if not 0 <= self.foot_gm_weight_frac < 1 - self.belly_weight_frac:
+        if not self.mass > 0:
+            raise ValueError(f"mass must be positive, got {self.mass}")
+        if not self.friction > 0:
+            raise ValueError(f"friction must be positive, got {self.friction}")
+        if not self.segment_length > 0:
             raise ValueError(
-                "foot_gm_weight_frac must lie in [0, 1 - belly_weight_frac)")
+                f"segment_length must be positive, got {self.segment_length}")
+        if self.belly_elements_per_segment < 2:
+            raise ValueError("belly_elements_per_segment must be at least 2, "
+                             f"got {self.belly_elements_per_segment}")
+        if not 0 <= self.belly_weight_frac < 1:
+            raise ValueError("belly_weight_frac must lie in [0, 1), "
+                             f"got {self.belly_weight_frac}")
+        if not 0 <= self.foot_gm_weight_frac < 1 - self.belly_weight_frac:
+            raise ValueError("foot_gm_weight_frac must lie in "
+                             "[0, 1 - belly_weight_frac), "
+                             f"got {self.foot_gm_weight_frac}")
+        # shoulders sit on their segment
+        for name in ("fore_along", "hind_along"):
+            if not 0 <= getattr(self, name) <= self.segment_length:
+                raise ValueError(f"{name} must lie in [0, segment_length], "
+                                 f"got {getattr(self, name)}")
 
     @property
     def body_length(self):
@@ -103,19 +116,23 @@ class GroundModel:
 
     def __post_init__(self):
         if not 0 < self.rft_par < self.rft_perp:
-            raise ValueError("drag anisotropy requires rft_perp > rft_par > 0")
-        if self.slip_eps <= 0:
-            raise ValueError("slip_eps must be positive")
+            raise ValueError("drag anisotropy requires rft_perp > rft_par > 0, "
+                             f"got rft_par = {self.rft_par}, "
+                             f"rft_perp = {self.rft_perp}")
+        if not self.slip_eps > 0:
+            raise ValueError(f"slip_eps must be positive, got {self.slip_eps}")
 
 
 def blend_ratio(d):
-    """Granular-drag fraction of the force blend at bead depth ``d`` (mm).
+    """Granular-drag fraction of the force blend at bead depth ``d`` (mm),
+    a scalar or an array.
 
     0 at flat ground (pure Coulomb), 1 at 40 mm and beyond (pure drag).
     """
-    if d < 0:
+    d = np.asarray(d, dtype=float)
+    if not np.all(d >= 0):
         raise ValueError(f"depth must be nonnegative, got {d}")
-    return min(d / MAX_DEPTH_MM, 1.0)
+    return np.minimum(d / MAX_DEPTH_MM, 1.0)
 
 
 class TerrainProfile:

@@ -44,18 +44,19 @@ class LoadPipelineConfig:
     order: str = LOWPASS_THEN_RECTIFY
 
     def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("gain must be positive")
+        if not self.gain > 0:
+            raise ValueError(f"gain must be positive, got {self.gain}")
         if not self.clip > 0:
-            raise ValueError("clip must be positive")
-        if self.noise_cov < 0:
-            raise ValueError("noise_cov must be nonnegative")
-        if self.bias_sd < 0:
-            raise ValueError("bias_sd must be nonnegative")
+            raise ValueError(f"clip must be positive, got {self.clip}")
+        if not self.noise_cov >= 0:
+            raise ValueError(f"noise_cov must be nonnegative, got {self.noise_cov}")
+        if not self.bias_sd >= 0:
+            raise ValueError(f"bias_sd must be nonnegative, got {self.bias_sd}")
         if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.order not in (LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS):
-            raise ValueError(f"unknown pipeline order {self.order!r}")
+            raise ValueError(f"order must be {LOWPASS_THEN_RECTIFY!r} or "
+                             f"{RECTIFY_THEN_LOWPASS!r}, got {self.order!r}")
 
 
 def _draw_bias(bias_sd, rng):

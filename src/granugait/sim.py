@@ -21,15 +21,17 @@ import numpy as np
 
 from . import percept
 from .errors import DegenerateSupportError, SolverError
-from .gait import (BODY_JOINT_LIMIT, TWO_PI, BodyWave, LegId,
+from .gait import (BLEND_FRAC, BODY_JOINT_LIMIT, TWO_PI, BodyWave, LegId,
                    leg_contact_fraction)
-from .model import MAX_DEPTH_MM, GroundModel, RobotModel
+from .model import GroundModel, RobotModel, blend_ratio
 
 RESIDUAL_TOL = 1e-8      # nondimensional acceptance bound per step
 NEWTON_TOL = 1e-11       # solver target, well inside the acceptance bound
 MAX_NEWTON_ITERS = 200   # the potential falls at every step, so more is safe
 MAX_HALVINGS = 60        # line-search step halvings per Newton step
 ARMIJO_C1 = 1e-4         # sufficient-decrease fraction of the Armijo test
+
+STEPS_PER_CYCLE = 100    # integration steps per gait cycle
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +126,7 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     is_foot = np.concatenate(foot_list)
 
     if rho_override is None:
-        depth = np.asarray(terrain.depth_at(pos[:n_belly, 0]))
-        rho_belly = np.minimum(depth / MAX_DEPTH_MM, 1.0)
+        rho_belly = blend_ratio(terrain.depth_at(pos[:n_belly, 0]))
     else:
         rho_belly = np.full(n_belly, float(rho_override))
     rho = np.zeros(len(pos))
@@ -376,9 +377,9 @@ def default_initial_pose(robot):
 
 
 def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
-                   steps_per_cycle=100, controller=None,
+                   steps_per_cycle=STEPS_PER_CYCLE, controller=None,
                    load_cfg=None, mirror=False, rho_override=None,
-                   clamp_limit=BODY_JOINT_LIMIT, blend_frac=0.1):
+                   clamp_limit=BODY_JOINT_LIMIT, blend_frac=BLEND_FRAC):
     """Run ``n_cycles`` gait cycles and record the full trial.
 
     ``controller``, when given, is called once per cycle boundary with that
@@ -476,11 +477,3 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
         max_residual=max_residual, max_power=max_power,
         clamp_events=wave.clamp_events,
     )
-
-
-def speed_bl_per_cycle(record):
-    """Per-cycle forward speed (BL/C) and its mean over the trial."""
-    if len(record.cycle_speed_blc) < 1:
-        raise ValueError("record contains no complete cycle")
-    per_cycle = record.cycle_speed_blc
-    return per_cycle, float(per_cycle.mean())

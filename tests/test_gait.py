@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from granugait.gait import (
     BODY_JOINT_LIMIT, TWO_PI, BodyWave, DIAGONAL_PAIR_A, DIAGONAL_PAIR_B,
-    GaitParams, LegId, LegPhase, body_joint_angle, body_joint_rate,
-    leg_command, leg_contact_fraction, optimal_phase_for_depth,
+    GaitParams, LegId, body_joint_angle, body_joint_rate,
+    leg_contact_fraction, optimal_phase_for_depth,
 )
 
 PHI_GRID = [0.0, -math.pi / 12, -math.pi / 6, -math.pi / 4, -math.pi / 3,
@@ -102,66 +102,57 @@ def test_out_of_range_cycle_phase_rejected():
 
 
 # ---------------------------------------------------------------------------
-# leg_command
+# leg_contact_fraction: the trot
 
-def test_stance_returns_beta_land_swing_returns_beta_lift():
-    g = GaitParams()
-    got_stance = got_swing = False
-    for t in np.linspace(0, TWO_PI, 64, endpoint=False):
-        cmd = leg_command(LegId.LF, t, g)
-        if cmd.phase is LegPhase.STANCE:
-            assert cmd.beta == pytest.approx(math.pi / 3)
-            got_stance = True
-        else:
-            assert cmd.beta == pytest.approx(0.0)
-            got_swing = True
-    assert got_stance and got_swing
+def _in_stance(leg, t, g):
+    """Full contact under a step (zero-ramp) stance profile."""
+    return leg_contact_fraction(leg, t, g) == 1.0
 
 
 @given(cycle_phases)
 def test_diagonal_pairs_share_stance_windows(t):
     g = GaitParams()
-    assert leg_command(LegId.LF, t, g).phase is leg_command(LegId.RH, t, g).phase
-    assert leg_command(LegId.RF, t, g).phase is leg_command(LegId.LH, t, g).phase
+    assert leg_contact_fraction(LegId.LF, t, g) == leg_contact_fraction(LegId.RH, t, g)
+    assert leg_contact_fraction(LegId.RF, t, g) == leg_contact_fraction(LegId.LH, t, g)
 
 
 @given(cycle_phases)
 def test_exactly_one_pair_in_stance_at_half_duty(t):
-    g = GaitParams(duty=0.5)
-    a = leg_command(LegId.LF, t, g).phase is LegPhase.STANCE
-    b = leg_command(LegId.RF, t, g).phase is LegPhase.STANCE
-    assert a != b
+    g = GaitParams(duty=0.5, ramp_frac=0.0)
+    assert _in_stance(LegId.LF, t, g) != _in_stance(LegId.RF, t, g)
 
 
 def test_stance_window_spans_duty_fraction():
-    g = GaitParams(duty=0.5)
-    ts = np.linspace(0, TWO_PI, 1000, endpoint=False)
-    frac = np.mean([leg_command(LegId.LF, t, g).phase is LegPhase.STANCE
-                    for t in ts])
-    assert frac == pytest.approx(0.5, abs=0.01)
+    # the trapezoid's ramps trade equal areas, so the mean contact weight
+    # is the duty fraction with or without them
+    for ramp_frac in (0.0, 0.05):
+        g = GaitParams(duty=0.5, ramp_frac=ramp_frac)
+        ts = np.linspace(0, TWO_PI, 1000, endpoint=False)
+        frac = np.mean([leg_contact_fraction(LegId.LF, t, g) for t in ts])
+        assert frac == pytest.approx(0.5, abs=0.01)
 
 
 def test_pair_windows_offset_by_half_cycle():
     g = GaitParams(duty=0.5)
     for t in np.linspace(0, TWO_PI, 64, endpoint=False):
         shifted = (t + math.pi) % TWO_PI
-        assert (leg_command(LegId.LF, t, g).phase
-                is leg_command(LegId.RF, shifted, g).phase)
+        assert (leg_contact_fraction(LegId.LF, t, g)
+                == pytest.approx(leg_contact_fraction(LegId.RF, shifted, g),
+                                 abs=1e-12))
 
 
 def test_boundary_belongs_to_incoming_pair():
-    g = GaitParams(stance_offset=0.0, duty=0.5)
-    assert leg_command(LegId.LF, 0.0, g).phase is LegPhase.STANCE
-    assert leg_command(LegId.RF, math.pi, g).phase is LegPhase.STANCE
+    g = GaitParams(stance_offset=0.0, duty=0.5, ramp_frac=0.0)
+    assert _in_stance(LegId.LF, 0.0, g)
+    assert not _in_stance(LegId.RF, 0.0, g)
+    assert _in_stance(LegId.RF, math.pi, g)
+    assert not _in_stance(LegId.LF, math.pi, g)
 
 
 def test_unknown_leg_rejected():
     with pytest.raises(ValueError):
-        leg_command("LF", 0.0, GaitParams())
+        leg_contact_fraction("LF", 0.0, GaitParams())
 
-
-# ---------------------------------------------------------------------------
-# leg_contact_fraction
 
 def test_contact_fraction_trapezoid():
     g = GaitParams(stance_offset=0.0, ramp_frac=0.05, duty=0.5)
@@ -183,10 +174,10 @@ def test_contact_fraction_in_unit_interval(t):
 
 
 def test_zero_ramp_gives_step_contact():
-    g = GaitParams(ramp_frac=0.0)
+    g = GaitParams(stance_offset=0.0, ramp_frac=0.0)
     for t in np.linspace(0, TWO_PI, 64, endpoint=False):
         s = leg_contact_fraction(LegId.LF, t, g)
-        stance = leg_command(LegId.LF, t, g).phase is LegPhase.STANCE
+        stance = t < g.duty * TWO_PI
         assert s == (1.0 if stance else 0.0)
 
 
@@ -217,7 +208,7 @@ def test_optimal_phase_range_error(d):
 @pytest.mark.parametrize("kwargs", [
     {"amplitude": 0.0}, {"frequency": -1.0}, {"body_phase": 0.5},
     {"body_phase": -2.0}, {"duty": 0.0}, {"duty": 1.5},
-    {"beta_land": 0.0}, {"beta_land": 2.0}, {"ramp_frac": 0.5},
+    {"frequency": 0.0}, {"ramp_frac": -0.01}, {"ramp_frac": 0.5},
 ])
 def test_gait_params_validation(kwargs):
     with pytest.raises(ValueError):

@@ -99,6 +99,8 @@ def test_config_unparseable_value(tmp_path):
     ("knn_k", 526),   # default training split: 3 * 7 * 10 * 5 // 2 = 525
     ("fore_along", 5.0), ("fore_along", -0.01), ("hind_along", 0.2),
     ("hind_along", -0.01), ("leg_lateral", 0.0), ("leg_lateral", -0.02),
+    # phases outside the gait range [-pi/2, 0]
+    ("calibration_phi", 0.5), ("phi_max", 0.3), ("phi_min", -2.0),
 ])
 def test_config_validation_names_offending_key(key, value):
     cfg = RunConfig()
@@ -151,6 +153,27 @@ def test_cli_rejects_shoulder_off_its_segment_without_traceback(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "fore_along" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,key,ini", [
+    ("calibrate", "calibration_phi", "[control]\ncalibration_phi = 0.5\n"),
+    ("closedloop", "phi_max", "[control]\nphi_max = 0.3\n"
+                              "[experiment]\nclosedloop_phi_init = 0.3\n"),
+], ids=["calibration_phi", "phi_max"])
+def test_cli_rejects_phase_outside_gait_range_without_traceback(
+        tmp_path, command, key, ini):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(ini)
+    src = os.path.dirname(os.path.dirname(granugait.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "granugait.cli", command, "--config",
+         str(bad), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert key in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 

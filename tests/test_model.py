@@ -1,17 +1,23 @@
 """Robot geometry, terrain profiles, and reaction-force law tests."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from granugait.config import RunConfig
-from granugait.gait import LegId
+from granugait.control import ControllerParams
+from granugait.gait import GaitParams, LegId
 from granugait.model import GroundModel, RobotModel, TerrainProfile, blend_ratio
-from granugait.sim import ContactSet, contact_forces
+from granugait.percept import LoadPipelineConfig
+from granugait.sim import ContactSet, build_contacts, contact_forces
 
 GM = GroundModel(rft_par=1.5, rft_perp=3.75, slip_eps=1e-4)
+
+DEFAULT_INI = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "configs", "default.ini")
 
 
 def one_contact_force(v, heading, normal_load, gm, mu, rho):
@@ -45,6 +51,28 @@ def test_blend_ratio_rejects_negative_depth():
 def test_blend_ratio_monotone(d1, d2):
     lo, hi = sorted((d1, d2))
     assert blend_ratio(lo) <= blend_ratio(hi)
+
+
+def test_blend_ratio_array_equals_scalar_calls():
+    d = np.array([0.0, 7.5, 20.0, 39.999, 40.0, 55.0])
+    np.testing.assert_array_equal(blend_ratio(d), [blend_ratio(x) for x in d])
+    with pytest.raises(ValueError):
+        blend_ratio(np.array([10.0, -1.0]))
+    with pytest.raises(ValueError):
+        blend_ratio(np.array([10.0, np.nan]))
+
+
+def test_belly_contacts_take_the_depth_blend():
+    robot = RobotModel()
+    ramp = TerrainProfile.ramp(-0.3, 0.6)      # 5 to 35 mm under the body
+    c = build_contacts(np.array([0.225, 0.0, 0.0]), np.zeros(3), np.zeros(3),
+                       0.5, GaitParams(), robot, ramp)
+    n_belly = robot.n_segments * robot.belly_elements_per_segment
+    belly = c.rho[:n_belly]
+    np.testing.assert_array_equal(
+        belly, blend_ratio(ramp.depth_at(c.pos[:n_belly, 0])))
+    assert 0.0 < belly.min() < belly.max() < 1.0
+    assert not c.rho[n_belly:].any()          # feet stay on Coulomb friction
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +171,8 @@ def test_robot_defaults():
     {"n_segments": 3}, {"mass": 0.0}, {"friction": -0.1},
     {"belly_elements_per_segment": 1}, {"belly_weight_frac": 1.0},
     {"belly_weight_frac": -0.1}, {"foot_gm_weight_frac": 0.9},
+    {"mass": math.nan}, {"segment_length": 0.0}, {"fore_along": 0.2},
+    {"fore_along": -0.01}, {"hind_along": 0.2}, {"hind_along": -0.01},
 ])
 def test_robot_validation(kwargs):
     with pytest.raises(ValueError):
@@ -150,7 +180,17 @@ def test_robot_validation(kwargs):
 
 
 def test_run_config_robot_is_default_robot():
-    assert RunConfig().robot() == RobotModel()
+    """Every component a default config builds is that component's
+    default, and the shipped default file spells out the same values."""
+    cfg = RunConfig()
+    assert cfg.robot() == RobotModel()
+    assert cfg.ground() == GroundModel()
+    assert cfg.load_cfg() == LoadPipelineConfig()
+    for phi in cfg.phi_grid:
+        assert cfg.gait(phi) == GaitParams(body_phase=phi)
+    for tau0 in (0.0, 12.5):
+        assert cfg.controller_params(tau0) == ControllerParams(tau0=tau0)
+    assert RunConfig.from_ini(DEFAULT_INI) == cfg
 
 
 def test_mirrored_negates_lateral_offsets_only():

@@ -13,7 +13,7 @@ from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.percept import LoadPipelineConfig
 from granugait.sim import (
     ContactSet, JOINT_NAMES, build_contacts, chain_frames,
-    compute_joint_torques, simulate_trial, speed_bl_per_cycle,
+    compute_joint_torques, simulate_trial,
 )
 
 ROBOT = RobotModel()
@@ -180,22 +180,24 @@ def test_controller_hook_applied_at_cycle_boundaries():
 
 
 # ---------------------------------------------------------------------------
-# speed_bl_per_cycle
+# cycle speed
 
 def test_speed_arithmetic():
     rec = _run(n_cycles=2, load_cfg=NOISEFREE)
-    per, mean = speed_bl_per_cycle(rec)
     spc = rec.steps_per_cycle
-    dx0 = rec.centers[spc, 0] - rec.centers[0, 0]
-    assert per[0] == pytest.approx(dx0 / ROBOT.body_length)
-    assert mean == pytest.approx(per.mean())
+    for c in range(2):
+        dx = rec.centers[(c + 1) * spc, 0] - rec.centers[c * spc, 0]
+        assert rec.cycle_speed_blc[c] == pytest.approx(dx / ROBOT.body_length)
 
 
 def test_speed_requires_complete_cycle():
-    rec = _run(n_cycles=1)
-    rec.cycle_speed_blc = np.empty(0)
-    with pytest.raises(ValueError):
-        speed_bl_per_cycle(rec)
+    # a record always holds at least one complete cycle, so its mean speed
+    # is defined
+    with pytest.raises(ValueError, match="n_cycles"):
+        _run(n_cycles=0)
+    rec = _run(n_cycles=1, load_cfg=NOISEFREE)
+    assert rec.cycle_speed_blc.shape == (1,)
+    assert np.isfinite(rec.cycle_speed_blc.mean())
 
 
 # ---------------------------------------------------------------------------
