@@ -155,37 +155,29 @@ class BodyWave:
         """Switch the body phase offset at unwrapped wave phase ``at_u``."""
         if not -math.pi / 2 - 1e-12 <= new_phi <= 1e-12:
             raise ValueError(f"body_phase must lie in [-pi/2, 0], got {new_phi}")
-        residual = self._offsets(at_u)
+        residual, _ = self._blend(at_u)
         n = np.arange(3)
         self._delta = residual + n * (self.phi - new_phi)
         self._blend_start_u = at_u
         self.phi = new_phi
 
-    def _offsets(self, u):
+    def _blend(self, u):
+        """Per-joint phase offsets at unwrapped wave phase ``u`` and their
+        derivatives in ``u``; both zero once the blend window has passed."""
         span = self.blend_frac * TWO_PI
-        if span <= 0:
-            return np.zeros(3)
-        frac = (u - self._blend_start_u) / span
+        frac = (u - self._blend_start_u) / span if span > 0 else 1.0
         if frac >= 1.0:
-            return np.zeros(3)
-        return self._delta * (1.0 - frac)
-
-    def _offset_rates(self, u):
-        span = self.blend_frac * TWO_PI
-        if span <= 0:
-            return np.zeros(3)
-        frac = (u - self._blend_start_u) / span
-        if frac >= 1.0:
-            return np.zeros(3)
-        return -self._delta / span
+            return np.zeros(3), np.zeros(3)
+        return self._delta * (1.0 - frac), -self._delta / span
 
     def angles_and_rates(self, t_abs):
         """Clamped joint angles (rad) and rates (rad/s) at absolute time ``t_abs``."""
         g = self.params
         u = g.frequency * t_abs
         n = np.arange(3)
-        arg = u + n * self.phi + self._offsets(u)
-        darg_du = 1.0 + self._offset_rates(u)
+        offsets, offset_rates = self._blend(u)
+        arg = u + n * self.phi + offsets
+        darg_du = 1.0 + offset_rates
         raw = g.amplitude * np.cos(arg)
         raw_rate = -g.amplitude * np.sin(arg) * darg_du * g.frequency
         if self.mirror:

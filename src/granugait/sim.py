@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +61,36 @@ def chain_frames(pose, alphas, robot):
     return headings, seg_start, joints
 
 
+def _behind(seg, robot):
+    """(n_segments - 1, n) mask whose row j marks the contacts tail-ward of
+    joint j + 1, the ones that joint bends."""
+    return seg >= np.arange(1, robot.n_segments)[:, None]
+
+
+@lru_cache(maxsize=None)
+def _layout(robot):
+    """Fixed contact layout of ``robot``: the segment index, along-segment
+    offset and lateral offset of each contact, and its ``_behind`` mask.
+
+    Belly elements come segment by segment, each segment's evenly spaced
+    from its head end; then one foot per leg in ``LegId`` order.  The arrays
+    are shared by every call, so they are read-only.
+    """
+    n_per, n_seg = robot.belly_elements_per_segment, robot.n_segments
+    atts = [robot.leg_attach[leg] for leg in LegId]
+    fracs = (np.arange(n_per) + 0.5) / n_per
+    seg = np.concatenate([np.repeat(np.arange(n_seg), n_per),
+                          [a.segment for a in atts]])
+    along = np.concatenate([np.tile(fracs * robot.segment_length, n_seg),
+                            [a.along for a in atts]])
+    lateral = np.concatenate([np.zeros(n_seg * n_per),
+                              [a.lateral for a in atts]])
+    layout = (seg, along, lateral, _behind(seg, robot))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
 @dataclass
 class ContactSet:
     """Flat arrays describing every ground contact at one instant."""
@@ -70,13 +101,17 @@ class ContactSet:
     normal: np.ndarray    # (n,) normal load, N
     vshape: np.ndarray    # (n, 2) velocity from joint motion, body twist frozen
     seg: np.ndarray       # (n,) segment index, for torque attribution
-    is_foot: np.ndarray   # (n,) bool
+    joints: np.ndarray    # (n_segments - 1, 2) joint positions
     ref: np.ndarray       # (2,) twist reference point (head tip)
 
 
 def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
                    terrain, rho_override=None):
     """Assemble contact geometry, blend weights, and normal loads.
+
+    Every contact of ``_layout(robot)`` is present at every instant: the
+    belly elements, then the four feet.  A foot in swing keeps exactly zero
+    normal load, so it exerts no force and adds nothing to the balance.
 
     Weight support is local: each belly element carries its own share of
     body weight, interpolated between the rigid-ground belly fraction
@@ -87,75 +122,46 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     load (and hence thrust) from the feet still on rigid ground.
     """
     headings, seg_start, joints = chain_frames(pose, alphas, robot)
-    n_per = robot.belly_elements_per_segment
-    L = robot.segment_length
+    seg, along, lateral, behind = _layout(robot)
+    n_belly = robot.n_segments * robot.belly_elements_per_segment
 
-    pos_list, axis_list, seg_list, foot_list, w_list = [], [], [], [], []
+    cos, sin = np.cos(headings), np.sin(headings)
+    axis = np.stack([cos, sin], axis=1)[seg]
+    left = np.stack([-sin, cos], axis=1)[seg]
+    pos = seg_start[seg] - along[:, None] * axis + lateral[:, None] * left
 
-    fracs = (np.arange(n_per) + 0.5) / n_per
-    for k in range(robot.n_segments):
-        h = headings[k]
-        d = np.array([-math.cos(h), -math.sin(h)])
-        pts = seg_start[k] + np.outer(fracs * L, d)
-        pos_list.append(pts)
-        axis_list.append(np.tile([math.cos(h), math.sin(h)], (n_per, 1)))
-        seg_list.append(np.full(n_per, k))
-        foot_list.append(np.zeros(n_per, dtype=bool))
-
-    n_belly = robot.n_segments * n_per
-    bf = robot.belly_weight_frac
-
-    for leg in LegId:
-        s = leg_contact_fraction(leg, cycle_phase, params)
-        if s <= 0.0:
-            continue
-        att = robot.leg_attach[leg]
-        h = headings[att.segment]
-        d = np.array([-math.cos(h), -math.sin(h)])
-        left = np.array([-math.sin(h), math.cos(h)])
-        p = seg_start[att.segment] + att.along * d + att.lateral * left
-        pos_list.append(p[None, :])
-        axis_list.append(np.array([[math.cos(h), math.sin(h)]]))
-        seg_list.append(np.array([att.segment]))
-        foot_list.append(np.array([True]))
-        w_list.append(s)
-
-    pos = np.concatenate(pos_list)
-    axis = np.concatenate(axis_list)
-    seg = np.concatenate(seg_list)
-    is_foot = np.concatenate(foot_list)
-
+    rho = np.zeros(len(seg))
     if rho_override is None:
-        rho_belly = blend_ratio(terrain.depth_at(pos[:n_belly, 0]))
+        rho[:n_belly] = blend_ratio(terrain.depth_at(pos[:n_belly, 0]))
     else:
-        rho_belly = np.full(n_belly, float(rho_override))
-    rho = np.zeros(len(pos))
-    rho[:n_belly] = rho_belly
+        rho[:n_belly] = float(rho_override)
 
     # Local support: element i carries (W/n_belly)*(bf + rho_i*(1-f_gm-bf)),
     # so the belly bears bf*W on rigid ground and (1-f_gm)*W fully immersed.
-    f_gm = robot.foot_gm_weight_frac
-    normal = np.empty(len(pos))
-    normal[:n_belly] = (robot.weight / n_belly) * (
-        bf + rho_belly * (1.0 - f_gm - bf))
-    belly_total = float(normal[:n_belly].sum())
+    bf, f_gm = robot.belly_weight_frac, robot.foot_gm_weight_frac
+    normal = np.zeros(len(seg))
+    belly = normal[:n_belly]       # a view: rescaling it rescales normal
+    belly[:] = (robot.weight / n_belly) * (
+        bf + rho[:n_belly] * (1.0 - f_gm - bf))
+    belly_total = float(belly.sum())
     feet_total = robot.weight - belly_total
-    s_sum = float(np.sum(w_list)) if w_list else 0.0
+    s = np.array([leg_contact_fraction(leg, cycle_phase, params)
+                  for leg in LegId])
+    s_sum = float(s.sum())
     if s_sum > 1e-12:
-        normal[n_belly:] = feet_total * np.asarray(w_list) / s_sum
+        normal[n_belly:] = feet_total * s / s_sum
     elif feet_total > 1e-12 * robot.weight:
         if belly_total <= 1e-12:
             raise DegenerateSupportError("no ground contact supports the robot")
-        normal[:n_belly] *= robot.weight / belly_total
+        belly *= robot.weight / belly_total
 
-    # Shape velocity: joint j spins every point on segments >= j about its pivot.
-    vshape = np.zeros_like(pos)
-    for j in range(1, robot.n_segments):
-        mask = seg >= j
-        r = pos[mask] - joints[j - 1]
-        vshape[mask] += alpha_rates[j - 1] * np.stack([-r[:, 1], r[:, 0]], axis=1)
+    # Shape velocity: joint j spins every point behind it about its pivot.
+    r = pos - joints[:, None]
+    rates = np.asarray(alpha_rates, dtype=float)[:, None, None]
+    vshape = np.sum(rates * np.stack([-r[..., 1], r[..., 0]], axis=2)
+                    * behind[..., None], axis=0)
 
-    return ContactSet(pos, axis, rho, normal, vshape, seg, is_foot,
+    return ContactSet(pos, axis, rho, normal, vshape, seg, joints,
                       np.array(pose[:2], dtype=float))
 
 
@@ -310,31 +316,27 @@ def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
 
 def _balance(contacts, ground, robot, xi0, where):
     """``solve_quasistatic_velocity`` with ``where`` prefixed to a failure;
-    returns the twist, forces, residual and the largest contact power F.v."""
+    returns the twist, forces, residual and the largest power F.v of a
+    loaded contact (a swing foot, at zero load, exerts no force)."""
     try:
         xi, F, v, res = solve_quasistatic_velocity(contacts, ground, robot, xi0)
     except SolverError as err:
         raise SolverError(f"{where}: {err}", residual=err.residual) from err
-    return xi, F, res, float(np.einsum("ij,ij->i", F, v).max())
+    power = np.einsum("ij,ij->i", F, v)[contacts.normal > 0]
+    return xi, F, res, float(power.max())
 
 
-def compute_joint_torques(pose, alphas, contacts, forces, robot):
+def compute_joint_torques(contacts, forces, robot):
     """Nondimensional torque about each body joint from the resolved forces.
 
     Joint ``j`` carries the net moment of every reaction force acting
-    tail-ward of it, normalized by mu * m * g * BL.
+    tail-ward of it, normalized by mu * m * g * BL.  Contacts ahead of a
+    joint enter its sum as exact zeros.
     """
-    _, _, joints = chain_frames(pose, alphas, robot)
+    r = contacts.pos - contacts.joints[:, None]
+    moment = r[..., 0] * forces[:, 1] - r[..., 1] * forces[:, 0]
     scale = robot.friction * robot.weight * robot.body_length
-    tau = np.zeros(3)
-    for j in range(1, 4):
-        mask = contacts.seg >= j
-        if not mask.any():
-            continue
-        r = contacts.pos[mask] - joints[j - 1]
-        f = forces[mask]
-        tau[j - 1] = np.sum(r[:, 0] * f[:, 1] - r[:, 1] * f[:, 0]) / scale
-    return tau
+    return np.sum(moment * _behind(contacts.seg, robot), axis=1) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +438,7 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
         poses[k] = pose
         centers[k] = body_center(pose, alphas, robot)
         joint_angles[k] = alphas
-        torques[k] = compute_joint_torques(pose, alphas, contacts, F, robot)
+        torques[k] = compute_joint_torques(contacts, F, robot)
         loads[k] = filt.push_raw(torques[k])
 
         # Midpoint rule: re-balance at the half step so the pose update is

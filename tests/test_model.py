@@ -1,5 +1,7 @@
 """Robot geometry, terrain profiles, and reaction-force law tests."""
 
+import dataclasses
+import importlib.util
 import math
 import os
 
@@ -10,14 +12,15 @@ from hypothesis import given, strategies as st
 from granugait.config import RunConfig
 from granugait.control import ControllerParams
 from granugait.gait import GaitParams, LegId
-from granugait.model import GroundModel, RobotModel, TerrainProfile, blend_ratio
+from granugait.model import (GRAVITY, GroundModel, RobotModel, TerrainProfile,
+                             blend_ratio)
 from granugait.percept import LoadPipelineConfig
 from granugait.sim import ContactSet, build_contacts, contact_forces
 
 GM = GroundModel(rft_par=1.5, rft_perp=3.75, slip_eps=1e-4)
 
-DEFAULT_INI = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "configs", "default.ini")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEFAULT_INI = os.path.join(ROOT, "configs", "default.ini")
 
 
 def one_contact_force(v, heading, normal_load, gm, mu, rho):
@@ -28,7 +31,7 @@ def one_contact_force(v, heading, normal_load, gm, mu, rho):
         axis=np.array([[math.cos(heading), math.sin(heading)]]),
         rho=np.array([float(rho)]), normal=np.array([float(normal_load)]),
         vshape=np.zeros((1, 2)), seg=np.zeros(1, dtype=int),
-        is_foot=np.zeros(1, dtype=bool), ref=np.zeros(2),
+        joints=np.zeros((3, 2)), ref=np.zeros(2),
     )
     return contact_forces(np.array([v], dtype=float), c, gm, mu)[0]
 
@@ -191,6 +194,24 @@ def test_run_config_robot_is_default_robot():
     for tau0 in (0.0, 12.5):
         assert cfg.controller_params(tau0) == ControllerParams(tau0=tau0)
     assert RunConfig.from_ini(DEFAULT_INI) == cfg
+
+
+def test_perfbench_check_defaults_equal_the_component_defaults():
+    """perfbench/checks.py judges outputs against its own copies of the
+    program's defaults; each copy must equal the component field it names,
+    so a changed default cannot leave the benchmark checking old values."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", os.path.join(ROOT, "perfbench", "checks.py"))
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    components = (RobotModel(), GroundModel(), ControllerParams())
+    for name, value in checks.DEFAULTS.items():
+        owners = [c for c in components
+                  if name in {f.name for f in dataclasses.fields(c)}]
+        assert len(owners) == 1, name
+        assert getattr(owners[0], name) == value, name
+    assert checks.GRAVITY == GRAVITY
+    assert checks.N_SEGMENTS == RobotModel().n_segments
 
 
 def test_mirrored_negates_lateral_offsets_only():

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from granugait import harness
 from granugait.config import RunConfig
 from granugait.errors import SolverError
-from granugait.gait import GaitParams
+from granugait.gait import TWO_PI, GaitParams, LegId, leg_contact_fraction
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.percept import LoadPipelineConfig
 from granugait.sim import (
@@ -48,7 +50,7 @@ def test_zero_forces_zero_torques():
     alphas = np.zeros(3)
     c = build_contacts(pose, alphas, np.zeros(3), 0.1, _params(0.0), ROBOT,
                        TerrainProfile.flat())
-    tau = compute_joint_torques(pose, alphas, c, np.zeros_like(c.pos), ROBOT)
+    tau = compute_joint_torques(c, np.zeros_like(c.pos), ROBOT)
     np.testing.assert_allclose(tau, 0.0)
 
 
@@ -61,15 +63,94 @@ def test_single_tail_tip_force_lever_arms():
     contacts = ContactSet(
         pos=tip, axis=np.array([[1.0, 0.0]]), rho=np.zeros(1),
         normal=np.zeros(1), vshape=np.zeros((1, 2)), seg=np.array([3]),
-        is_foot=np.array([True]), ref=pose[:2],
+        joints=chain_frames(pose, alphas, ROBOT)[2], ref=pose[:2],
     )
     forces = np.array([[0.0, 1.0]])
-    tau = compute_joint_torques(pose, alphas, contacts, forces, ROBOT)
+    tau = compute_joint_torques(contacts, forces, ROBOT)
     # joints sit at x = 0.3375, 0.225, 0.1125; moment arm = joint x - 0
     arms = np.array([0.3375, 0.225, 0.1125])
     scale = ROBOT.friction * ROBOT.weight * ROBOT.body_length
     np.testing.assert_allclose(tau, -arms / scale, rtol=1e-12)
     assert tau[0] / tau[2] == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# build_contacts: one fixed layout, swing feet at zero load
+
+N_BELLY = ROBOT.n_segments * ROBOT.belly_elements_per_segment
+
+
+def test_swing_feet_stay_in_the_layout_at_zero_load():
+    """Every instant has the same contacts in the same order; a foot out of
+    stance keeps its place with exactly zero normal load."""
+    pose = np.array([0.225, 0.0, 0.1])
+    alphas = np.array([0.3, -0.2, 0.1])
+    params = _params(-math.pi / 6)
+
+    def contacts(cycle_phase):
+        return build_contacts(pose, alphas, np.zeros(3), cycle_phase, params,
+                              ROBOT, TerrainProfile.constant(20.0))
+
+    first = contacts(0.0)
+    for cycle_phase in np.linspace(0.0, TWO_PI, 24, endpoint=False):
+        c = contacts(cycle_phase)
+        assert c.seg is first.seg          # the layout is built once
+        np.testing.assert_array_equal(c.pos, first.pos)
+        s = np.array([leg_contact_fraction(leg, cycle_phase, params)
+                      for leg in LegId])
+        feet = c.normal[N_BELLY:]
+        assert np.all(feet[s == 0.0] == 0.0) and np.all(feet[s > 0.0] > 0.0)
+        assert c.normal.sum() == pytest.approx(ROBOT.weight, rel=1e-12)
+
+
+def test_feet_below_the_stance_threshold_carry_exactly_zero_load():
+    """When the feet's summed contact fraction is positive but at most
+    1e-12, the belly carries the whole weight and the feet carry 0."""
+    params = GaitParams(duty=0.25)
+    cycle_phase = params.stance_offset % TWO_PI + 1e-14
+    s = [leg_contact_fraction(leg, cycle_phase, params) for leg in LegId]
+    assert 0.0 < sum(s) <= 1e-12
+    c = build_contacts(np.array([0.225, 0.0, 0.0]), np.zeros(3), np.zeros(3),
+                       cycle_phase, params, ROBOT, TerrainProfile.flat())
+    assert np.all(c.normal[N_BELLY:] == 0.0)
+    assert c.normal[:N_BELLY].sum() == pytest.approx(ROBOT.weight, rel=1e-12)
+
+
+_angle = st.floats(min_value=-math.pi / 4, max_value=math.pi / 4)
+_rate = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_per=st.sampled_from([2, 8, 16]), mirror=st.booleans(),
+       pose=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+                      st.floats(-math.pi, math.pi)),
+       alphas=st.tuples(_angle, _angle, _angle),
+       rates=st.tuples(_rate, _rate, _rate),
+       cycle_phase=st.floats(min_value=0.0, max_value=6.28), data=st.data())
+def test_shape_velocity_and_torques_obey_virtual_work(
+        n_per, mirror, pose, alphas, rates, cycle_phase, data):
+    """The shape velocity is d(pos)/dt along the joint rates, and the joint
+    torques do the virtual work of the forces on it:
+    mu W BL (tau . alpha_rate) = sum_i F_i . vshape_i."""
+    robot = RobotModel(belly_elements_per_segment=n_per)
+    robot = robot.mirrored() if mirror else robot
+    pose, alphas, rates = (np.array(x) for x in (pose, alphas, rates))
+
+    def contacts(a):
+        return build_contacts(pose, a, rates, cycle_phase, _params(-0.5),
+                              robot, TerrainProfile.flat())
+
+    c = contacts(alphas)
+    h = 1e-6
+    fd = (contacts(alphas + h * rates).pos
+          - contacts(alphas - h * rates).pos) / (2 * h)
+    np.testing.assert_allclose(c.vshape, fd, rtol=0, atol=1e-7)
+
+    F = data.draw(hnp.arrays(float, c.pos.shape,
+                             elements=st.floats(-10.0, 10.0)))
+    tau = compute_joint_torques(c, F, robot)
+    work = robot.friction * robot.weight * robot.body_length * (tau @ rates)
+    assert work == pytest.approx(np.sum(F * c.vshape), rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
