@@ -11,7 +11,8 @@ from .model import (  # noqa: F401
     GroundModel, RobotModel, TerrainProfile, blend_ratio,
 )
 from .sim import (  # noqa: F401
-    TrialRecord, simulate_trial, solve_quasistatic_velocity,
+    Trial, TrialRecord, simulate_trial, simulate_trials,
+    solve_quasistatic_velocity,
 )
 from .percept import (  # noqa: F401
     DepthClassifier, LabeledFeature, LoadPipelineConfig, add_sensor_noise,

@@ -2,17 +2,26 @@
 
 
 class SimulationError(Exception):
-    """Base class for simulator-specific failures."""
+    """Base class for simulator-specific failures.
+
+    An error raised for a batch of trials marks the ones it concerns in
+    ``failed``, a boolean array over the batch; None means every trial.
+    """
+
+    def __init__(self, message, failed=None):
+        super().__init__(message)
+        self.failed = failed
 
 
 class SolverError(SimulationError):
     """Quasi-static balance solver failed to converge.
 
-    Carries the last residual (nondimensional inf-norm) for diagnostics.
+    Carries the last residual (nondimensional inf-norm) for diagnostics,
+    one per trial for a batch.
     """
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
+    def __init__(self, message, residual=None, failed=None):
+        super().__init__(message, failed)
         self.residual = residual
 
 

@@ -162,21 +162,25 @@ class BodyWave:
         self.phi = new_phi
 
     def _blend(self, u):
-        """Per-joint phase offsets at unwrapped wave phase ``u`` and their
-        derivatives in ``u``; both zero once the blend window has passed."""
+        """Per-joint phase offsets at unwrapped wave phase ``u`` (any shape)
+        and their derivatives in ``u``; both zero once the blend window has
+        passed."""
         span = self.blend_frac * TWO_PI
-        frac = (u - self._blend_start_u) / span if span > 0 else 1.0
-        if frac >= 1.0:
-            return np.zeros(3), np.zeros(3)
-        return self._delta * (1.0 - frac), -self._delta / span
+        if span <= 0:
+            return np.zeros(np.shape(u) + (3,)), np.zeros(np.shape(u) + (3,))
+        frac = np.asarray((u - self._blend_start_u) / span)[..., None]
+        fresh = frac < 1.0
+        return (np.where(fresh, self._delta * (1.0 - frac), 0.0),
+                np.where(fresh, -self._delta / span, 0.0))
 
     def angles_and_rates(self, t_abs):
-        """Clamped joint angles (rad) and rates (rad/s) at absolute time ``t_abs``."""
+        """Clamped joint angles (rad) and rates (rad/s) at absolute time
+        ``t_abs``; an array of times gives (..., 3) arrays."""
         g = self.params
-        u = g.frequency * t_abs
+        u = g.frequency * np.asarray(t_abs)
         n = np.arange(3)
         offsets, offset_rates = self._blend(u)
-        arg = u + n * self.phi + offsets
+        arg = u[..., None] + n * self.phi + offsets
         darg_du = 1.0 + offset_rates
         raw = g.amplitude * np.cos(arg)
         raw_rate = -g.amplitude * np.sin(arg) * darg_du * g.frequency

@@ -16,11 +16,11 @@ import numpy as np
 
 from . import __version__, control, percept
 from .config import RunConfig
-from .errors import SolverError
+from .errors import SimulationError, SolverError
 from .gait import optimal_phase_for_depth
 from .model import MAX_DEPTH_MM, TerrainProfile
 from .percept import DEPTH_CLASSES, LabeledFeature
-from .sim import JOINT_NAMES, simulate_trial
+from .sim import JOINT_NAMES, Trial, simulate_trial, simulate_trials
 
 TRANSITION_MODES = ("adaptive", "fixed_phi_0", "fixed_phi_-pi/3")
 
@@ -34,15 +34,33 @@ def _fmt(x):
     return f"{x:.9f}"
 
 
+def _shared(cfg):
+    """What every trial of ``cfg`` shares: robot, ground, step count,
+    joint clamp and phase blend."""
+    return dict(robot=cfg.robot(), ground=cfg.ground(),
+                steps_per_cycle=cfg.steps_per_cycle,
+                clamp_limit=cfg.effective_clamp, blend_frac=cfg.blend_frac)
+
+
 def _simulate(cfg, phi, terrain, n_cycles, seed, **kw):
-    """``simulate_trial`` of gait ``phi`` with the robot, ground, step
-    count, joint clamp and phase blend of ``cfg``; every trial an
-    experiment runs goes through here."""
-    return simulate_trial(
-        cfg.gait(phi), terrain, n_cycles=n_cycles, seed=seed,
-        robot=cfg.robot(), ground=cfg.ground(),
-        steps_per_cycle=cfg.steps_per_cycle, clamp_limit=cfg.effective_clamp,
-        blend_frac=cfg.blend_frac, **kw)
+    """``simulate_trial`` of gait ``phi`` under ``cfg``, for the trials
+    whose cycles depend on an earlier trial: calibration, closed loops."""
+    return simulate_trial(cfg.gait(phi), terrain, n_cycles=n_cycles,
+                          seed=seed, **_shared(cfg), **kw)
+
+
+def _simulate_batch(cfg, trials, n_cycles):
+    """``simulate_trials`` of independent ``trials`` under ``cfg``, in one
+    lock-step batch: one TrialRecord or SimulationError per trial."""
+    return simulate_trials(trials, n_cycles, **_shared(cfg))
+
+
+def _records(outcomes):
+    """The records of a batch, raising the first trial's error, if any."""
+    for out in outcomes:
+        if isinstance(out, SimulationError):
+            raise out
+    return outcomes
 
 
 def _write_csv(path, header, rows):
@@ -129,29 +147,34 @@ def run_sweep(cfg: RunConfig, out_dir=None):
     """Speed vs body phase offset across depths; reports per-depth argmax.
 
     Without a controller the seed only feeds the sensor noise, which speed
-    does not read, so each (depth, phi) cell is simulated once and its
-    speeds are reported for every trial index.
+    does not read, so each (depth, phi) cell is simulated once, all cells
+    in one lock-step batch, and its speeds are reported for every trial
+    index.  A cell whose solve fails records one failure per trial index;
+    the other cells are unaffected.
     """
     if not cfg.phi_grid:
         raise ValueError("phi grid must be nonempty")
     rows, failures = [], []
     cell_means = {}
-    for depth in cfg.depths:
-        terrain = TerrainProfile.constant(depth)
-        for phi in cfg.phi_grid:
-            try:
-                rec = _simulate(cfg, phi, terrain, cfg.sweep_cycles, 0,
-                                load_cfg=cfg.load_cfg(noise_cov=0.0))
-            except SolverError as err:
-                failures.extend((depth, phi, trial, str(err))
-                                for trial in range(cfg.sweep_trials))
-                continue
-            for trial in range(cfg.sweep_trials):
-                for c, s in enumerate(rec.cycle_speed_blc):
-                    rows.append((float(depth), float(phi), trial, c, float(s)))
-            # Mean over the trial copies, to the last bit as per-trial runs.
-            speeds = [rec.cycle_speed_blc.mean()] * cfg.sweep_trials
-            cell_means[(depth, phi)] = float(np.mean(speeds))
+    cells = [(depth, phi) for depth in cfg.depths for phi in cfg.phi_grid]
+    terrains = {depth: TerrainProfile.constant(depth) for depth in cfg.depths}
+    outcomes = _simulate_batch(
+        cfg, [Trial(cfg.gait(phi), terrains[depth],
+                    load_cfg=cfg.load_cfg(noise_cov=0.0))
+              for depth, phi in cells], cfg.sweep_cycles)
+    for (depth, phi), rec in zip(cells, outcomes):
+        if isinstance(rec, SolverError):
+            failures.extend((depth, phi, trial, str(rec))
+                            for trial in range(cfg.sweep_trials))
+            continue
+        if isinstance(rec, SimulationError):
+            raise rec
+        for trial in range(cfg.sweep_trials):
+            for c, s in enumerate(rec.cycle_speed_blc):
+                rows.append((float(depth), float(phi), trial, c, float(s)))
+        # Mean over the trial copies, to the last bit as per-trial runs.
+        speeds = [rec.cycle_speed_blc.mean()] * cfg.sweep_trials
+        cell_means[(depth, phi)] = float(np.mean(speeds))
     argmax_phi = {}
     for depth in cfg.depths:
         cells = {phi: m for (d, phi), m in cell_means.items() if d == depth}
@@ -184,19 +207,20 @@ def run_model_torque(cfg: RunConfig, out_dir=None):
     """Median |tau~| per joint versus the drag/Coulomb blend ratio.
 
     One noise-free cycle on flat ground per (phi, ratio), with the ratio
-    imposed on every belly element.
+    imposed on every belly element; all of them in one lock-step batch.
     """
     rows = []
     table = {}
-    for phi in (0.0, -math.pi / 3):
-        for rho in cfg.rho_grid:
-            rec = _simulate(cfg, phi, TerrainProfile.flat(), 1, 0,
-                            load_cfg=cfg.load_cfg(noise_cov=0.0),
-                            rho_override=rho)
-            medians = np.median(np.abs(rec.torques), axis=0)
-            table[(phi, rho)] = medians
-            for j, name in enumerate(JOINT_NAMES):
-                rows.append((float(phi), float(rho), name, float(medians[j])))
+    cells = [(phi, rho) for phi in (0.0, -math.pi / 3) for rho in cfg.rho_grid]
+    flat = TerrainProfile.flat()
+    outcomes = _simulate_batch(
+        cfg, [Trial(cfg.gait(phi), flat, load_cfg=cfg.load_cfg(noise_cov=0.0),
+                    rho_override=rho) for phi, rho in cells], 1)
+    for (phi, rho), rec in zip(cells, _records(outcomes)):
+        medians = np.median(np.abs(rec.torques), axis=0)
+        table[(phi, rho)] = medians
+        for j, name in enumerate(JOINT_NAMES):
+            rows.append((float(phi), float(rho), name, float(medians[j])))
     if out_dir is not None:
         _write_csv(os.path.join(out_dir, "model_torque.csv"),
                    ["phi_rad", "ratio", "joint", "median_tau_tilde"], rows)
@@ -211,28 +235,32 @@ def generate_feature_dataset(cfg: RunConfig):
     """Synthetic (tau_m, phi, depth) features for every joint.
 
     The dynamics for a (depth, phi) cell are deterministic, so each cell is
-    simulated once noise-free and its virtual trials differ only in the
-    seeded sensor-noise draw applied to the recorded torques; one load
-    pipeline call processes all of a cell's virtual trials.
+    simulated once noise-free, all cells in one lock-step batch, and its
+    virtual trials differ only in the seeded sensor-noise draw applied to
+    the recorded torques; one load pipeline call processes all of a cell's
+    virtual trials.
     """
     features = {name: [] for name in JOINT_NAMES}
     rows = []
-    depths = [d for d in DEPTH_CLASSES]
-    for di, depth in enumerate(depths):
-        terrain = TerrainProfile.constant(depth)
-        for pi, phi in enumerate(cfg.phi_grid):
-            rec = _simulate(cfg, phi, terrain, cfg.classify_cycles, 0,
-                            load_cfg=cfg.load_cfg(noise_cov=0.0))
-            rngs = (np.random.default_rng(_subseed(cfg.seed, 100, di, pi, trial))
-                    for trial in range(cfg.classify_trials_per_cell))
-            medians = percept.trial_cycle_medians(
-                rec.torques, cfg.steps_per_cycle, cfg.load_cfg(), rngs)
-            for trial, trial_medians in enumerate(medians.tolist()):
-                for cyc, cycle_medians in enumerate(trial_medians):
-                    for name, tau_m in zip(JOINT_NAMES, cycle_medians):
-                        features[name].append(
-                            LabeledFeature(tau_m, float(phi), depth))
-                        rows.append((name, float(phi), tau_m, depth, trial, cyc))
+    cells = [(di, depth, pi, phi) for di, depth in enumerate(DEPTH_CLASSES)
+             for pi, phi in enumerate(cfg.phi_grid)]
+    terrains = {depth: TerrainProfile.constant(depth)
+                for depth in DEPTH_CLASSES}
+    outcomes = _simulate_batch(
+        cfg, [Trial(cfg.gait(phi), terrains[depth],
+                    load_cfg=cfg.load_cfg(noise_cov=0.0))
+              for _, depth, _, phi in cells], cfg.classify_cycles)
+    for (di, depth, pi, phi), rec in zip(cells, _records(outcomes)):
+        rngs = (np.random.default_rng(_subseed(cfg.seed, 100, di, pi, trial))
+                for trial in range(cfg.classify_trials_per_cell))
+        medians = percept.trial_cycle_medians(
+            rec.torques, cfg.steps_per_cycle, cfg.load_cfg(), rngs)
+        for trial, trial_medians in enumerate(medians.tolist()):
+            for cyc, cycle_medians in enumerate(trial_medians):
+                for name, tau_m in zip(JOINT_NAMES, cycle_medians):
+                    features[name].append(
+                        LabeledFeature(tau_m, float(phi), depth))
+                    rows.append((name, float(phi), tau_m, depth, trial, cyc))
     return features, rows
 
 
@@ -353,13 +381,15 @@ def transition_terrain(cfg: RunConfig):
 
 
 def run_transition(cfg: RunConfig, out_dir=None, calibration=None):
-    """Flat-to-deep terrain crossing: adaptive phase vs the two fixed gaits."""
+    """Flat-to-deep terrain crossing: adaptive phase vs the two fixed gaits,
+    the three in one lock-step batch."""
     bias = _session_bias(cfg)
     calib = calibration or run_calibrate(cfg, bias=bias)
     terrain = transition_terrain(cfg)
     n = cfg.transition_cycles
     rows = []
     mean_speed, start_speed, end_speed, phi_traj = {}, {}, {}, {}
+    trials = []
     for mi, mode in enumerate(TRANSITION_MODES):
         controller = None
         phi_init = 0.0
@@ -368,9 +398,11 @@ def run_transition(cfg: RunConfig, out_dir=None, calibration=None):
                 cfg.controller_params(calib.tau0), 0.0)
         elif mode == "fixed_phi_-pi/3":
             phi_init = -math.pi / 3
-        rec = _simulate(cfg, phi_init, terrain, n, _subseed(cfg.seed, 400, mi),
-                        controller=controller,
-                        load_cfg=cfg.load_cfg(bias=bias))
+        trials.append(Trial(cfg.gait(phi_init), terrain,
+                            _subseed(cfg.seed, 400, mi), controller,
+                            cfg.load_cfg(bias=bias)))
+    outcomes = _simulate_batch(cfg, trials, n)
+    for mode, rec in zip(TRANSITION_MODES, _records(outcomes)):
         for c in range(n):
             x_pos = float(rec.centers[(c + 1) * cfg.steps_per_cycle, 0])
             rows.append((mode, c, float(rec.cycle_phi[c]),

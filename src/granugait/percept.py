@@ -158,10 +158,11 @@ class OnlineLoadPipeline:
         self._read = 0      # samples consumed by cycle_median
 
     def push_raw(self, tau):
-        """Feed one timestep of nondimensional torques (3,); returns the
-        noisy raw load sample."""
+        """Feed one timestep of nondimensional torques (3,), or a block of
+        consecutive timesteps (m, 3); returns the noisy raw load samples.
+        The generator draws the same noise either way."""
         raw = _raw_loads(tau, self.cfg, self._bias, self.rng)
-        self._raw.append(raw)
+        self._raw.extend(np.reshape(raw, (-1, 3)))
         return raw
 
     def cycle_median(self, lo, hi):

@@ -10,6 +10,12 @@ Each contact force is minus the velocity gradient of a convex dissipation
 potential and contact velocities are affine in the twist, so the balance
 minimises a strictly convex function of the twist.  The solver runs damped
 Newton on it, with the quadratic drag share precomputed and no fallback.
+
+Independent trials advance in lock-step over a leading batch axis: every
+kernel below takes leading batch axes (``...``), and a single trial is the
+batch of shape ``()``, whose arrays are those of one trial alone.  Each
+kernel works trial by trial in the same arithmetic whatever the batch, so a
+trial's record does not depend on its batch-mates.
 """
 
 from __future__ import annotations
@@ -21,10 +27,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import percept
-from .errors import DegenerateSupportError, SolverError
-from .gait import (BLEND_FRAC, BODY_JOINT_LIMIT, TWO_PI, BodyWave, LegId,
-                   leg_contact_fraction)
-from .model import GroundModel, RobotModel, blend_ratio
+from .errors import DegenerateSupportError, SimulationError, SolverError
+from .gait import (BLEND_FRAC, BODY_JOINT_LIMIT, TWO_PI, BodyWave, GaitParams,
+                   LegId, leg_contact_fraction)
+from .model import GroundModel, RobotModel, TerrainProfile, blend_ratio
 
 RESIDUAL_TOL = 1e-8      # nondimensional acceptance bound per step
 NEWTON_TOL = 1e-11       # solver target, well inside the acceptance bound
@@ -35,30 +41,61 @@ ARMIJO_C1 = 1e-4         # sufficient-decrease fraction of the Armijo test
 STEPS_PER_CYCLE = 100    # integration steps per gait cycle
 
 
+def _per_trial(x, n):
+    """``x`` as a list of ``n`` per-trial values: a list or tuple is one
+    value per trial; anything else is shared by all."""
+    return list(x) if isinstance(x, (list, tuple)) else [x] * n
+
+
+#: ``r[..., ::-1] * _ROT90`` turns vectors (x, y) into (-y, x).
+_ROT90 = np.array([-1.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # Kinematics
+
+def _frames(pose, alphas, robot):
+    """``chain_frames``, with each heading's (cos, sin) in place of the
+    joint positions (which are ``seg_start[..., 1:, :]``)."""
+    pose = np.asarray(pose, dtype=float)
+    batch, n = pose.shape[:-1], robot.n_segments
+    # Each heading adds one joint angle to the one before it, and each
+    # segment starts where the one before it ends; both sums run in order.
+    headings = np.empty(batch + (n,))
+    headings[..., 0] = pose[..., 2]
+    headings[..., 1:] = alphas
+    headings.cumsum(axis=-1, out=headings)
+    cs = np.empty(batch + (n, 2))
+    cs[..., 0] = np.cos(headings)
+    cs[..., 1] = np.sin(headings)
+    seg_start = np.empty(batch + (n, 2))
+    seg_start[..., 0, :] = pose[..., :2]
+    np.multiply(-cs[..., :-1, :], robot.segment_length,
+                out=seg_start[..., 1:, :])
+    seg_start.cumsum(axis=-2, out=seg_start)
+    return headings, cs, seg_start
+
 
 def chain_frames(pose, alphas, robot):
     """Segment headings, head-end positions, and joint positions.
 
-    The head tip is the chain root at ``pose[:2]``; segments extend
+    The head tip is the chain root at ``pose[..., :2]``; segments extend
     tail-ward.  Joint ``j`` (1-based) sits between segments ``j-1`` and
     ``j`` and bends every segment behind it.
     """
-    x, y, theta = pose
-    headings = np.empty(robot.n_segments)
-    seg_start = np.empty((robot.n_segments, 2))
-    joints = np.empty((robot.n_segments - 1, 2))
-    h = theta
-    p = np.array([x, y])
-    for k in range(robot.n_segments):
-        if k > 0:
-            joints[k - 1] = p
-            h = h + alphas[k - 1]
-        headings[k] = h
-        seg_start[k] = p
-        p = p + robot.segment_length * np.array([-math.cos(h), -math.sin(h)])
-    return headings, seg_start, joints
+    headings, _, seg_start = _frames(pose, alphas, robot)
+    return headings, seg_start, seg_start[..., 1:, :]
+
+
+def _center(seg_start, cs, robot):
+    """Body-centre position: the mean of the segment midpoints."""
+    mids = seg_start + 0.5 * robot.segment_length * -cs
+    return mids.sum(axis=-2) / robot.n_segments
+
+
+def body_center(pose, alphas, robot):
+    _, cs, seg_start = _frames(pose, alphas, robot)
+    return _center(seg_start, cs, robot)
 
 
 def _behind(seg, robot):
@@ -70,7 +107,8 @@ def _behind(seg, robot):
 @lru_cache(maxsize=None)
 def _layout(robot):
     """Fixed contact layout of ``robot``: the segment index, along-segment
-    offset and lateral offset of each contact, and its ``_behind`` mask.
+    offset and lateral offset (as (n, 1) columns) of each contact, and its
+    ``_behind`` mask.
 
     Belly elements come segment by segment, each segment's evenly spaced
     from its head end; then one foot per leg in ``LegId`` order.  The arrays
@@ -85,7 +123,7 @@ def _layout(robot):
                             [a.along for a in atts]])
     lateral = np.concatenate([np.zeros(n_seg * n_per),
                               [a.lateral for a in atts]])
-    layout = (seg, along, lateral, _behind(seg, robot))
+    layout = (seg, along[:, None], lateral[:, None], _behind(seg, robot))
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -93,16 +131,18 @@ def _layout(robot):
 
 @dataclass
 class ContactSet:
-    """Flat arrays describing every ground contact at one instant."""
+    """Flat arrays describing every ground contact at one instant; each
+    array has the leading batch axes of its trials."""
 
-    pos: np.ndarray       # (n, 2) world positions
-    axis: np.ndarray      # (n, 2) element long-axis unit vectors
-    rho: np.ndarray       # (n,) granular-drag blend weight
-    normal: np.ndarray    # (n,) normal load, N
-    vshape: np.ndarray    # (n, 2) velocity from joint motion, body twist frozen
+    pos: np.ndarray       # (..., n, 2) world positions
+    axis: np.ndarray      # (..., n, 2) element long-axis unit vectors
+    rho: np.ndarray       # (..., n) granular-drag blend weight
+    normal: np.ndarray    # (..., n) normal load, N
+    vshape: np.ndarray    # (..., n, 2) velocity from joint motion, body twist frozen
     seg: np.ndarray       # (n,) segment index, for torque attribution
-    joints: np.ndarray    # (n_segments - 1, 2) joint positions
-    ref: np.ndarray       # (2,) twist reference point (head tip)
+    joints: np.ndarray    # (..., n_segments - 1, 2) joint positions
+    ref: np.ndarray       # (..., 2) twist reference point (head tip)
+    center: np.ndarray | None = None   # (..., 2) body centre, from build_contacts
 
 
 def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
@@ -120,49 +160,72 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     does not, split by contact fraction.  Keeping support local means a
     body straddling a flat-to-granular boundary does not drain normal
     load (and hence thrust) from the feet still on rigid ground.
+
+    For a batch, ``params``, ``terrain`` and ``rho_override`` are lists
+    with one entry per trial (or one value shared by all).  A
+    ``DegenerateSupportError`` marks the trials it concerns in ``failed``.
     """
-    headings, seg_start, joints = chain_frames(pose, alphas, robot)
+    _, cs, seg_start = _frames(pose, alphas, robot)
+    joints = seg_start[..., 1:, :]
     seg, along, lateral, behind = _layout(robot)
     n_belly = robot.n_segments * robot.belly_elements_per_segment
+    batch = cs.shape[:-2]
+    n_trials = math.prod(batch)
 
-    cos, sin = np.cos(headings), np.sin(headings)
-    axis = np.stack([cos, sin], axis=1)[seg]
-    left = np.stack([-sin, cos], axis=1)[seg]
-    pos = seg_start[seg] - along[:, None] * axis + lateral[:, None] * left
+    axis = cs[..., seg, :]
+    pos = seg_start[..., seg, :] - along * axis + lateral * (axis[..., ::-1]
+                                                             * _ROT90)
 
-    rho = np.zeros(len(seg))
-    if rho_override is None:
-        rho[:n_belly] = blend_ratio(terrain.depth_at(pos[:n_belly, 0]))
-    else:
-        rho[:n_belly] = float(rho_override)
+    rho = np.zeros(batch + (len(seg),))
+    belly_rho = rho[..., :n_belly].reshape(n_trials, n_belly)   # a view
+    belly_x = pos[..., :n_belly, 0].reshape(n_trials, n_belly)
+    for i, (ground, fixed) in enumerate(zip(_per_trial(terrain, n_trials),
+                                            _per_trial(rho_override,
+                                                       n_trials))):
+        if fixed is None:
+            belly_rho[i] = blend_ratio(ground.depth_at(belly_x[i]))
+        else:
+            belly_rho[i] = float(fixed)
 
     # Local support: element i carries (W/n_belly)*(bf + rho_i*(1-f_gm-bf)),
     # so the belly bears bf*W on rigid ground and (1-f_gm)*W fully immersed.
     bf, f_gm = robot.belly_weight_frac, robot.foot_gm_weight_frac
-    normal = np.zeros(len(seg))
-    belly = normal[:n_belly]       # a view: rescaling it rescales normal
-    belly[:] = (robot.weight / n_belly) * (
-        bf + rho[:n_belly] * (1.0 - f_gm - bf))
-    belly_total = float(belly.sum())
+    normal = np.zeros(batch + (len(seg),))
+    belly = normal[..., :n_belly]       # a view: rescaling it rescales normal
+    belly[...] = (robot.weight / n_belly) * (
+        bf + rho[..., :n_belly] * (1.0 - f_gm - bf))
+    belly_total = belly.sum(axis=-1)
     feet_total = robot.weight - belly_total
-    s = np.array([leg_contact_fraction(leg, cycle_phase, params)
-                  for leg in LegId])
-    s_sum = float(s.sum())
-    if s_sum > 1e-12:
-        normal[n_belly:] = feet_total * s / s_sum
-    elif feet_total > 1e-12 * robot.weight:
-        if belly_total <= 1e-12:
-            raise DegenerateSupportError("no ground contact supports the robot")
-        belly *= robot.weight / belly_total
+    phases = np.asarray(cycle_phase).reshape(-1)
+    s = np.array([[leg_contact_fraction(leg, phase, g) for leg in LegId]
+                  for phase, g in zip(phases, _per_trial(params, n_trials))]
+                 ).reshape(batch + (len(LegId),))
+    s_sum = s.sum(axis=-1)
+    stance = s_sum > 1e-12
+    if all(stance.flat):
+        normal[..., n_belly:] = feet_total[..., None] * s / s_sum[..., None]
+    else:
+        # Trials with no foot in stance: the belly carries the whole weight.
+        lifted = ~stance & (feet_total > 1e-12 * robot.weight)
+        unsupported = lifted & (belly_total <= 1e-12)
+        if any(unsupported.flat):
+            raise DegenerateSupportError(
+                "no ground contact supports the robot", failed=unsupported)
+        normal[..., n_belly:] = np.where(
+            stance[..., None],
+            feet_total[..., None] * s / np.where(stance, s_sum, 1.0)[..., None],
+            0.0)
+        belly *= np.divide(robot.weight, belly_total, out=np.ones(batch),
+                           where=lifted)[..., None]
 
     # Shape velocity: joint j spins every point behind it about its pivot.
-    r = pos - joints[:, None]
-    rates = np.asarray(alpha_rates, dtype=float)[:, None, None]
-    vshape = np.sum(rates * np.stack([-r[..., 1], r[..., 0]], axis=2)
-                    * behind[..., None], axis=0)
+    r = pos[..., None, :, :] - joints[..., :, None, :]
+    rates = np.asarray(alpha_rates, dtype=float)[..., None, None]
+    vshape = (rates * (r[..., ::-1] * _ROT90) * behind[..., None]).sum(axis=-3)
 
     return ContactSet(pos, axis, rho, normal, vshape, seg, joints,
-                      np.array(pose[:2], dtype=float))
+                      np.array(np.asarray(pose)[..., :2], dtype=float),
+                      _center(seg_start, cs, robot))
 
 
 # ---------------------------------------------------------------------------
@@ -170,12 +233,12 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
 
 def contact_forces(v, c, gm, mu):
     """Blended reaction force on every contact for given point velocities."""
-    speed = np.linalg.norm(v, axis=1)
-    f_coulomb = -mu * c.normal[:, None] * v / (speed + gm.slip_eps)[:, None]
-    v_par = np.einsum("ij,ij->i", v, c.axis)
-    v_perp = v - v_par[:, None] * c.axis
-    f_rft = -gm.rft_par * v_par[:, None] * c.axis - gm.rft_perp * v_perp
-    return (1.0 - c.rho)[:, None] * f_coulomb + c.rho[:, None] * f_rft
+    speed = np.linalg.norm(v, axis=-1)
+    f_coulomb = -mu * c.normal[..., None] * v / (speed + gm.slip_eps)[..., None]
+    v_par = np.einsum("...j,...j->...", v, c.axis)
+    v_perp = v - v_par[..., None] * c.axis
+    f_rft = -gm.rft_par * v_par[..., None] * c.axis - gm.rft_perp * v_perp
+    return (1.0 - c.rho)[..., None] * f_coulomb + c.rho[..., None] * f_rft
 
 
 def _residual_scale(robot):
@@ -186,17 +249,32 @@ def _residual_scale(robot):
 
 def _pull_back(f, r):
     """Net force and yaw moment of per-contact forces ``f`` at lever arms ``r``."""
-    q = f.T @ r
-    return np.append(f.sum(axis=0), q[1, 0] - q[0, 1])
+    q = f.mT @ r
+    out = np.empty(q.shape[:-2] + (3,))
+    out[..., :2] = f.sum(axis=-2)
+    out[..., 2] = q[..., 1, 0] - q[..., 0, 1]
+    return out
 
 
 def _residual(xi, c, gm, robot):
     """Nondimensional net force and yaw moment at twist ``xi``, with the
     contact forces and velocities."""
-    r = c.pos - c.ref
-    v = xi[:2] + xi[2] * np.stack([-r[:, 1], r[:, 0]], axis=1) + c.vshape
+    r = c.pos - c.ref[..., None, :]
+    v = xi[..., None, :2] + xi[..., None, 2:] * (r[..., ::-1] * _ROT90) + c.vshape
     F = contact_forces(v, c, gm, robot.friction)
     return _pull_back(F, r) * _residual_scale(robot), F, v
+
+
+# p = blocks @ feat, flattened row by row (p_ij at 6 i + j), gives the
+# flattened 3x3 sum
+#     p00  p10  h02          h02 = p11 - p02
+#     p10  p20  h12    with  h12 = p21 - p12
+#     h02  h12  h22          h22 = p04 - 2 p15 + p23
+# as p @ _H_MAP plus p23 in h22.  Each column of _H_MAP sums at most two
+# exact terms, so every summation order gives the same entry.
+_H_MAP = np.zeros((18, 9))
+_H_MAP[[0, 6, 7, 6, 12, 13, 7, 13, 4], range(9)] = 1.0
+_H_MAP[[2, 8, 2, 8, 11], [2, 5, 6, 7, 8]] = -1.0, -1.0, -1.0, -1.0, -2.0
 
 
 def _assemble(blocks, feat):
@@ -206,12 +284,23 @@ def _assemble(blocks, feat):
     ``feat`` the columns [1, rx, ry, rx^2, ry^2, rx*ry] of the lever arms.
     """
     p = blocks @ feat
-    h02 = p[1, 1] - p[0, 2]
-    h12 = p[2, 1] - p[1, 2]
-    h22 = p[0, 4] - 2.0 * p[1, 5] + p[2, 3]
-    return np.array([[p[0, 0], p[1, 0], h02],
-                     [p[1, 0], p[2, 0], h12],
-                     [h02, h12, h22]])
+    p = p.reshape(p.shape[:-2] + (18,))
+    h = p @ _H_MAP
+    h[..., 8] += p[..., 15]        # h22 = (p04 - 2 p15) + p23
+    return h.reshape(p.shape[:-1] + (3, 3))
+
+
+_PERP_DIAG = np.array([1.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
+
+
+def _outer(u, v):
+    """Entries xx, xy, yy of u v^T for each vector of ``u`` and ``v``, in a
+    new C-ordered array (so sums over its contacts run in one order)."""
+    out = np.empty(u.shape[:-1] + (3,))
+    np.multiply(u[..., :1], v, out=out[..., :2])
+    np.multiply(u[..., 1], v[..., 1], out=out[..., 2])
+    return out
 
 
 class _Dissipation:
@@ -222,51 +311,73 @@ class _Dissipation:
     velocity gradients are the two force laws of ``contact_forces``.  The
     drag share is quadratic in the twist, so it is folded once into
     ``0.5 xi.K.xi + k0.xi + c0``; an evaluation then visits only the
-    contacts with rho < 1.
+    contacts with rho < 1 in some trial of the batch, and a trial's other
+    contacts among them get Coulomb weight 0.  The gradient and Hessian sum
+    contact by contact, so those zeros leave them exactly as for the trial
+    alone; Psi itself (a BLAS dot, which only decides Armijo steps) can
+    round differently in its last bit when the zeros precede the trial's
+    own contacts.
     """
 
     def __init__(self, c, gm, mu):
-        r = c.pos - c.ref
-        rx, ry = r[:, 0], r[:, 1]
-        feat = np.stack([np.ones_like(rx), rx, ry, rx * rx, ry * ry, rx * ry],
-                        axis=1)
-        ax, ay = c.axis[:, 0], c.axis[:, 1]
+        r = c.pos - c.ref[..., None, :]
+        # columns 1, rx, ry, rx^2, ry^2, rx*ry
+        feat = np.concatenate([np.ones_like(r[..., :1]), r, r * r,
+                               r[..., :1] * r[..., 1:]], axis=-1)
+        # entries xx, xy, yy of each contact's drag tensor
+        a, w = c.axis, c.vshape
         dc = gm.rft_par - gm.rft_perp
-        drag = c.rho * np.stack([gm.rft_perp + dc * ax * ax, dc * ax * ay,
-                                 gm.rft_perp + dc * ay * ay])
-        wx, wy = c.vshape[:, 0], c.vshape[:, 1]
-        dw = np.stack([drag[0] * wx + drag[1] * wy,
-                       drag[1] * wx + drag[2] * wy], axis=1)
-        self.K = _assemble(drag, feat)
+        drag = c.rho[..., None] * (_outer(dc * a, a)
+                                   + _PERP_DIAG * gm.rft_perp)
+        dw = drag[..., :2] * w[..., :1] + drag[..., 1:] * w[..., 1:]
+        self.K = _assemble(drag.mT, feat)
         self.k0 = _pull_back(dw, r)
-        self.c0 = 0.5 * float(np.sum(dw * c.vshape))
+        self.c0 = 0.5 * (dw * w).reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
 
-        coulomb = c.rho < 1.0
-        self.m = ((1.0 - c.rho) * mu * c.normal)[coulomb]
-        self.r = r[coulomb]
-        self.lever = np.stack([-ry, rx], axis=1)[coulomb]
-        self.w = c.vshape[coulomb]
-        self.feat = feat[coulomb]
+        own = c.rho < 1.0
+        coulomb = own.reshape(-1, own.shape[-1]).any(axis=0)
+        self.m = np.where(own, (1.0 - c.rho) * mu * c.normal, 0.0)[..., coulomb]
+        self.r = r[..., coulomb, :]
+        self.lever = self.r[..., ::-1] * _ROT90
+        self.w = w[..., coulomb, :]
+        self.feat = feat[..., coulomb, :]
         self.eps = gm.slip_eps
 
     def value(self, xi):
         """Psi(xi), plus the Coulomb contacts' velocities and speeds."""
-        v = self.w + xi[:2] + xi[2] * self.lever
-        s = np.hypot(v[:, 0], v[:, 1])
-        psi = float(self.m @ (s - self.eps * np.log1p(s / self.eps)))
-        return psi + float(xi @ (0.5 * (self.K @ xi) + self.k0)) + self.c0, v, s
+        v = self.w + xi[..., None, :2] + xi[..., None, 2:] * self.lever
+        s = np.hypot(v[..., 0], v[..., 1])
+        psi = np.vecdot(self.m, s - self.eps * np.log1p(s / self.eps))
+        quad = np.vecdot(xi, 0.5 * np.matvec(self.K, xi) + self.k0)
+        return psi + quad + self.c0, v, s
 
     def derivatives(self, xi, v, s):
         """Gradient and Hessian of Psi at ``xi``, from ``value(xi)``'s v, s."""
         se = s + self.eps
         k = self.m / se
-        grad = self.K @ xi + self.k0 + _pull_back(k[:, None] * v, self.r)
+        grad = (np.matvec(self.K, xi) + self.k0
+                + _pull_back(k[..., None] * v, self.r))
         # Coulomb block k (I - (s/se) e e^T) with e = v/|v|, bounded at s = 0.
-        e = np.divide(v, s[:, None], out=np.zeros_like(v), where=s[:, None] > 0)
+        e = np.divide(v, s[..., None], out=np.zeros_like(v),
+                      where=s[..., None] > 0)
         ks = k * s / se
-        blocks = np.stack([k - ks * e[:, 0] * e[:, 0], -ks * e[:, 0] * e[:, 1],
-                           k - ks * e[:, 1] * e[:, 1]])
-        return grad, self.K + _assemble(blocks, self.feat)
+        blocks = -_outer(ks[..., None] * e, e)
+        blocks[..., ::2] += k[..., None]
+        return grad, self.K + _assemble(blocks.mT, self.feat)
+
+
+def _newton_steps(hess, grad):
+    """Newton steps -H^-1 g of stacked systems; NaN where H is singular."""
+    try:
+        return np.linalg.solve(hess, -grad[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if hess.ndim == 2:
+            return np.full_like(grad, np.nan)
+        return np.stack([_newton_steps(h, g) for h, g in zip(hess, grad)])
+
+
+def _not_balanced(worst):
+    return f"force balance did not converge (residual {worst:.3e})"
 
 
 def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
@@ -276,54 +387,72 @@ def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
 
     Damped Newton from ``xi0`` halves each step until it passes an Armijo
     test on Psi, so Psi falls at every step and the solve converges from any
-    start, with no fallback.  A final ``_residual`` pass gives the returned
-    ``(xi, F, v, residual)``; a residual above RESIDUAL_TOL, or NaN, raises.
+    start, with no fallback.  Each trial of a batch keeps its own active
+    flag and step length: it stops stepping once converged, after a
+    singular Hessian or after MAX_HALVINGS failed halvings, so its iterates
+    are those of its solve alone; all active trials share one batched
+    linear solve.  A final ``_residual`` pass gives the returned
+    ``(xi, F, v, residual)``; a residual above RESIDUAL_TOL, or NaN, raises
+    a ``SolverError`` whose ``residual`` and ``failed`` cover the batch.
     """
-    xi = np.zeros(3) if xi0 is None else np.array(xi0, dtype=float)
+    batch = contacts.ref.shape[:-1]
+    xi = np.zeros(batch + (3,)) if xi0 is None else np.array(xi0, dtype=float)
     pot = _Dissipation(contacts, gm, robot.friction)
     scale = _residual_scale(robot)
     psi, v, s = pot.value(xi)
+    # Per-trial flags and step lengths; scalars for a single trial.  Flags
+    # are tested with any()/all() over ``.flat``, which is cheap for both.
+    active = np.ones(batch, dtype=bool)[()]
+    full_step = np.ones(batch)[()]
     for _ in range(MAX_NEWTON_ITERS):
         grad, hess = pot.derivatives(xi, v, s)
-        if not np.abs(scale * grad).max() >= NEWTON_TOL:
-            break   # converged, or NaN, which the final check rejects
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
+        # converged, or NaN, which the final check rejects
+        active = active & (np.abs(scale * grad).max(axis=-1) >= NEWTON_TOL)
+        if not any(active.flat):
             break
-        slope = ARMIJO_C1 * float(grad @ step)
+        everyone = all(active.flat)
+        if not everyone:
+            # A trial that has stopped takes a zero step.
+            grad = np.where(active[..., None], grad, 0.0)
+            hess = np.where(active[..., None, None], hess, _EYE3)
+        step = _newton_steps(hess, grad)
+        slope = ARMIJO_C1 * np.vecdot(grad, step)
         slack = 1e-13 * abs(psi)
-        lam = 1.0
+        lam, trial, pending = full_step, xi + step, active
         for _ in range(MAX_HALVINGS):
-            trial = xi + lam * step
             psi_t, v_t, s_t = pot.value(trial)
-            if psi_t <= psi + lam * slope + slack:
+            pending = pending & ~(psi_t <= psi + lam * slope + slack)
+            if not any(pending.flat):
                 break
-            lam *= 0.5
+            lam = (0.5 * lam if all(pending.flat)
+                   else np.where(pending, 0.5 * lam, lam))
+            trial = xi + lam[..., None] * step
+        if any(pending.flat) or not everyone:
+            # Trials without sufficient decrease stop where they are.
+            active = active & ~pending
+            xi = np.where(active[..., None], trial, xi)
+            psi = np.where(active, psi_t, psi)[()]
+            v = np.where(active[..., None, None], v_t, v)
+            s = np.where(active[..., None], s_t, s)
         else:
-            break
-        xi, psi, v, s = trial, psi_t, v_t, s_t
+            xi, psi, v, s = trial, psi_t, v_t, s_t
 
     res, F, v = _residual(xi, contacts, gm, robot)
-    worst = float(np.abs(res).max())
-    if not worst <= RESIDUAL_TOL:
-        raise SolverError(
-            f"force balance did not converge (residual {worst:.3e})",
-            residual=worst,
-        )
+    worst = np.abs(res).max(axis=-1)
+    failed = ~(worst <= RESIDUAL_TOL)
+    if any(failed.flat):
+        raise SolverError(_not_balanced(np.max(np.asarray(worst)[failed])),
+                          residual=worst, failed=failed)
     return xi, F, v, worst
 
 
-def _balance(contacts, ground, robot, xi0, where):
-    """``solve_quasistatic_velocity`` with ``where`` prefixed to a failure;
-    returns the twist, forces, residual and the largest power F.v of a
-    loaded contact (a swing foot, at zero load, exerts no force)."""
-    try:
-        xi, F, v, res = solve_quasistatic_velocity(contacts, ground, robot, xi0)
-    except SolverError as err:
-        raise SolverError(f"{where}: {err}", residual=err.residual) from err
-    power = np.einsum("ij,ij->i", F, v)[contacts.normal > 0]
-    return xi, F, res, float(power.max())
+def _balance(contacts, ground, robot, xi0):
+    """``solve_quasistatic_velocity``, returning the twist, forces, residual
+    and the largest power F.v of a loaded contact (a swing foot, at zero
+    load, exerts no force)."""
+    xi, F, v, res = solve_quasistatic_velocity(contacts, ground, robot, xi0)
+    power = np.einsum("...j,...j->...", F, v)
+    return xi, F, res, np.where(contacts.normal > 0, power, -np.inf).max(-1)
 
 
 def compute_joint_torques(contacts, forces, robot):
@@ -333,10 +462,11 @@ def compute_joint_torques(contacts, forces, robot):
     tail-ward of it, normalized by mu * m * g * BL.  Contacts ahead of a
     joint enter its sum as exact zeros.
     """
-    r = contacts.pos - contacts.joints[:, None]
-    moment = r[..., 0] * forces[:, 1] - r[..., 1] * forces[:, 0]
+    r = contacts.pos[..., None, :, :] - contacts.joints[..., :, None, :]
+    forces = forces[..., None, :, :]
+    moment = r[..., 0] * forces[..., 1] - r[..., 1] * forces[..., 0]
     scale = robot.friction * robot.weight * robot.body_length
-    return np.sum(moment * _behind(contacts.seg, robot), axis=1) / scale
+    return (moment * _behind(contacts.seg, robot)).sum(axis=-1) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -365,117 +495,234 @@ class TrialRecord:
 JOINT_NAMES = ("upper", "lower", "tail")
 
 
-def body_center(pose, alphas, robot):
-    headings, seg_start, _ = chain_frames(pose, alphas, robot)
-    mids = seg_start + 0.5 * robot.segment_length * np.stack(
-        [-np.cos(headings), -np.sin(headings)], axis=1
-    )
-    return mids.mean(axis=0)
-
-
 def default_initial_pose(robot):
     """Head-tip pose placing the (straight) body center at the origin."""
     return np.array([robot.body_length / 2.0, 0.0, 0.0])
+
+
+@dataclass
+class Trial:
+    """What one trial of a lock-step batch keeps for itself: its gait,
+    terrain, seed, per-cycle controller, load pipeline and blend-ratio
+    override (see ``simulate_trial`` for each)."""
+
+    params: GaitParams
+    terrain: TerrainProfile
+    seed: int = 0
+    controller: object = None
+    load_cfg: percept.LoadPipelineConfig | None = None
+    rho_override: float | None = None
+
+
+class _Batch:
+    """Lock-step state of the trials still running: arrays with the batch's
+    leading axes, and per-trial lists in batch order."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def keep(self, mask):
+        """Drop the trials where ``mask`` is False."""
+        flags = np.atleast_1d(mask)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(self, name, value[mask])
+            elif isinstance(value, list):
+                setattr(self, name, [x for x, f in zip(value, flags) if f])
+
+    def rows(self, a):
+        """``a`` with its batch axes flattened into one, row i for trial i."""
+        return a.reshape((-1,) + a.shape[self.pose.ndim - 1:])
+
+
+def _trial_error(err, i, where):
+    """Trial ``i``'s share of the batch error ``err``, prefixed by ``where``."""
+    if isinstance(err, SolverError):
+        res = float(np.reshape(err.residual, -1)[i])
+        return SolverError(f"{where}: {_not_balanced(res)}", residual=res)
+    return type(err)(f"{where}: {err}")
+
+
+def _wave_cycle(b, c, spc):
+    """Joint angles and rates of every trial at each step of cycle ``c`` and
+    at its midpoint, interleaved: row 2j is step j, row 2j + 1 its midpoint.
+    A trial's wave changes only at cycle boundaries, so a cycle is known in
+    advance."""
+    k = np.arange(c * spc, (c + 1) * spc)
+    angles, rates = [], []
+    for wave, dt in zip(b.waves, b.rows(b.dt)):
+        t = k * dt
+        a, r = wave.angles_and_rates(np.stack([t, t + 0.5 * dt], axis=-1)
+                                     .reshape(-1))
+        angles.append(a)
+        rates.append(r)
+    shape = b.pose.shape[:-1] + (2 * spc, 3)
+    b.angles = np.reshape(angles, shape)
+    b.rates = np.reshape(rates, shape)
+
+
+def _integrate(trials, shape, n_cycles, robot, ground, steps_per_cycle,
+               mirror, clamp_limit, blend_frac):
+    """Advance ``trials`` in lock-step over leading batch ``shape`` (``()``
+    for one trial alone).  Returns one TrialRecord per trial, or the
+    ``SolverError``/``DegenerateSupportError`` that ended it; a failure
+    drops only its own trial, and the others redo the step without it."""
+    robot = robot or RobotModel()
+    ground = ground or GroundModel()
+    if n_cycles < 1:
+        raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
+    if mirror:
+        # Reflection across the x-axis: leg attachments flip sides while
+        # keeping their stance timing, and the body wave negates.
+        robot = robot.mirrored()
+    spc = steps_per_cycle
+    n_steps = n_cycles * spc
+    n = len(trials)
+
+    omega = np.reshape([t.params.frequency for t in trials], shape)[()]
+    b = _Batch(
+        ids=list(range(n)), trials=list(trials),
+        waves=[BodyWave(t.params, clamp_limit=clamp_limit,
+                        blend_frac=blend_frac, mirror=mirror) for t in trials],
+        filts=[percept.OnlineLoadPipeline(
+            t.load_cfg or percept.LoadPipelineConfig(),
+            np.random.default_rng(t.seed)) for t in trials],
+        omega=omega, dt=TWO_PI / omega / spc,
+        pose=np.broadcast_to(default_initial_pose(robot), shape + (3,)),
+        xi_prev=None,
+        max_residual=np.zeros(shape), max_power=np.full(shape, -np.inf),
+        times=np.empty(shape + (n_steps,)),
+        poses=np.empty(shape + (n_steps + 1, 3)),
+        centers=np.empty(shape + (n_steps + 1, 2)),
+        joint_angles=np.empty(shape + (n_steps, 3)),
+        torques=np.empty(shape + (n_steps, 3)),
+        loads=np.empty(shape + (n_steps, 3)),
+        cycle_median=np.empty(shape + (n_cycles, 3)),
+        cycle_phi=np.empty(shape + (n_cycles,)),
+    )
+    outcomes = [None] * n
+
+    for k in range(n_steps):
+        c, j = divmod(k, spc)
+        if j == 0:
+            _wave_cycle(b, c, spc)
+        while b.ids:
+            where = f"cycle {c}, step {j}"
+            try:
+                t = k * b.dt
+                args = ([tr.params for tr in b.trials], robot,
+                        [tr.terrain for tr in b.trials],
+                        [tr.rho_override for tr in b.trials])
+                alphas = b.angles[..., 2 * j, :]
+                contacts = build_contacts(b.pose, alphas,
+                                          b.rates[..., 2 * j, :],
+                                          (b.omega * t) % TWO_PI, *args)
+                xi, F, res, power = _balance(contacts, ground, robot,
+                                             b.xi_prev)
+
+                # Midpoint rule: re-balance at the half step so the pose
+                # update is second-order accurate in dt.
+                where += " (midpoint)"
+                t_mid = t + 0.5 * b.dt
+                pose_half = b.pose + (0.5 * b.dt)[..., None] * xi
+                contacts_m = build_contacts(
+                    pose_half, b.angles[..., 2 * j + 1, :],
+                    b.rates[..., 2 * j + 1, :], (b.omega * t_mid) % TWO_PI,
+                    *args)
+                xi_m, _, res_m, power_m = _balance(contacts_m, ground, robot,
+                                                   xi)
+            except (SolverError, DegenerateSupportError) as err:
+                failed = (np.ones(b.omega.shape, dtype=bool)
+                          if err.failed is None else err.failed)
+                for i in np.flatnonzero(failed):
+                    outcomes[b.ids[i]] = _trial_error(err, i, where)
+                b.keep(~failed)
+                continue
+            break
+        if not b.ids:
+            return outcomes
+
+        b.times[..., k] = t
+        b.poses[..., k, :] = b.pose
+        b.centers[..., k, :] = contacts.center
+        b.joint_angles[..., k, :] = alphas
+        b.torques[..., k, :] = compute_joint_torques(contacts, F, robot)
+        b.max_residual = np.maximum(b.max_residual, np.maximum(res, res_m))
+        b.max_power = np.maximum(b.max_power, np.maximum(power, power_m))
+        b.pose = b.pose + b.dt[..., None] * xi_m
+        b.xi_prev = xi_m
+
+        if j == spc - 1:
+            lo, hi = c * spc, k + 1
+            u_next = b.rows(b.omega * (t + b.dt))
+            loads, torques = b.rows(b.loads), b.rows(b.torques)
+            medians, phis = b.rows(b.cycle_median), b.rows(b.cycle_phi)
+            for i, (trial, wave, filt) in enumerate(zip(b.trials, b.waves,
+                                                        b.filts)):
+                loads[i, lo:hi] = filt.push_raw(torques[i, lo:hi])
+                medians[i, c] = filt.cycle_median(lo, hi)
+                phis[i, c] = wave.phi
+                if trial.controller is not None and c < n_cycles - 1:
+                    wave.set_phase(trial.controller(medians[i, c, 1]),
+                                   u_next[i])
+
+    alphas = np.reshape([w.angles_and_rates(n_steps * dt)[0]
+                         for w, dt in zip(b.waves, b.rows(b.dt))],
+                        b.pose.shape)
+    b.poses[..., n_steps, :] = b.pose
+    b.centers[..., n_steps, :] = body_center(b.pose, alphas, robot)
+    speed = (b.centers[..., spc::spc, 0]
+             - b.centers[..., :n_steps:spc, 0]) / robot.body_length
+    for i, (trial, wave) in enumerate(zip(b.trials, b.waves)):
+        outcomes[b.ids[i]] = TrialRecord(
+            times=b.rows(b.times)[i], poses=b.rows(b.poses)[i],
+            centers=b.rows(b.centers)[i],
+            joint_angles=b.rows(b.joint_angles)[i],
+            torques=b.rows(b.torques)[i], loads=b.rows(b.loads)[i],
+            cycle_speed_blc=b.rows(speed)[i],
+            cycle_median_load=b.rows(b.cycle_median)[i],
+            cycle_phi=b.rows(b.cycle_phi)[i], steps_per_cycle=spc,
+            seed=trial.seed, max_residual=float(b.rows(b.max_residual)[i]),
+            max_power=float(b.rows(b.max_power)[i]),
+            clamp_events=wave.clamp_events,
+        )
+    return outcomes
+
+
+def simulate_trials(trials, n_cycles, robot=None, ground=None,
+                    steps_per_cycle=STEPS_PER_CYCLE, mirror=False,
+                    clamp_limit=BODY_JOINT_LIMIT, blend_frac=BLEND_FRAC):
+    """Run independent ``Trial``s in lock-step, one batch axis over them.
+
+    The robot, ground, step count, mirror, joint clamp and phase blend are
+    shared; each trial keeps its own gait, terrain, seed, generator, load
+    pipeline, controller (called at the shared cycle boundaries) and
+    blend-ratio override.  Returns one entry per trial, in order: its
+    TrialRecord, equal bit for bit to ``simulate_trial`` of that trial
+    alone, or the ``SolverError``/``DegenerateSupportError`` that ended it,
+    naming its cycle and step.  A failure ends only its own trial.
+    """
+    trials = list(trials)
+    return _integrate(trials, (len(trials),), n_cycles, robot, ground,
+                      steps_per_cycle, mirror, clamp_limit, blend_frac)
 
 
 def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
                    steps_per_cycle=STEPS_PER_CYCLE, controller=None,
                    load_cfg=None, mirror=False, rho_override=None,
                    clamp_limit=BODY_JOINT_LIMIT, blend_frac=BLEND_FRAC):
-    """Run ``n_cycles`` gait cycles and record the full trial.
+    """Run ``n_cycles`` gait cycles and record the full trial: the batch of
+    ``simulate_trials`` of shape ``()``.
 
     ``controller``, when given, is called once per cycle boundary with that
     cycle's median lower-joint load and must return the phase offset to
     command for the next cycle.  Identical inputs and seed reproduce the
-    record bit for bit.
+    record bit for bit.  A failed solve raises ``SolverError`` naming its
+    cycle and step.
     """
-    robot = robot or RobotModel()
-    ground = ground or GroundModel()
-    load_cfg = load_cfg or percept.LoadPipelineConfig()
-    if n_cycles < 1:
-        raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
-
-    if mirror:
-        # Reflection across the x-axis: leg attachments flip sides while
-        # keeping their stance timing, and the body wave negates.
-        robot = robot.mirrored()
-
-    wave = BodyWave(params, clamp_limit=clamp_limit, blend_frac=blend_frac,
-                    mirror=mirror)
-
-    rng = np.random.default_rng(seed)
-    omega = params.frequency
-    dt = TWO_PI / omega / steps_per_cycle
-    n_steps = n_cycles * steps_per_cycle
-
-    pose = default_initial_pose(robot)
-
-    times = np.empty(n_steps)
-    poses = np.empty((n_steps + 1, 3))
-    centers = np.empty((n_steps + 1, 2))
-    joint_angles = np.empty((n_steps, 3))
-    torques = np.empty((n_steps, 3))
-    loads = np.empty((n_steps, 3))
-    cycle_speed = np.empty(n_cycles)
-    cycle_median = np.empty((n_cycles, 3))
-    cycle_phi = np.empty(n_cycles)
-
-    filt = percept.OnlineLoadPipeline(load_cfg, rng)
-    xi_prev = None
-    max_residual = 0.0
-    max_power = -np.inf
-
-    for k in range(n_steps):
-        t = k * dt
-        times[k] = t
-        alphas, rates = wave.angles_and_rates(t)
-        cycle_phase = (omega * t) % TWO_PI
-        contacts = build_contacts(pose, alphas, rates, cycle_phase, params,
-                                  robot, terrain, rho_override)
-        where = f"cycle {k // steps_per_cycle}, step {k % steps_per_cycle}"
-        xi, F, res, power = _balance(contacts, ground, robot, xi_prev, where)
-
-        poses[k] = pose
-        centers[k] = body_center(pose, alphas, robot)
-        joint_angles[k] = alphas
-        torques[k] = compute_joint_torques(contacts, F, robot)
-        loads[k] = filt.push_raw(torques[k])
-
-        # Midpoint rule: re-balance at the half step so the pose update is
-        # second-order accurate in dt.
-        t_mid = t + 0.5 * dt
-        pose_half = pose + 0.5 * dt * xi
-        alphas_m, rates_m = wave.angles_and_rates(t_mid)
-        contacts_m = build_contacts(pose_half, alphas_m, rates_m,
-                                    (omega * t_mid) % TWO_PI, params, robot,
-                                    terrain, rho_override)
-        xi_prev, _, res_m, power_m = _balance(contacts_m, ground, robot, xi,
-                                              where + " (midpoint)")
-        max_residual = max(max_residual, res, res_m)
-        max_power = max(max_power, power, power_m)
-        pose = pose + dt * xi_prev
-
-        if (k + 1) % steps_per_cycle == 0:
-            c = k // steps_per_cycle
-            lo = c * steps_per_cycle
-            cycle_phi[c] = wave.phi
-            cycle_median[c] = filt.cycle_median(lo, k + 1)
-            if controller is not None and c < n_cycles - 1:
-                new_phi = controller(cycle_median[c, 1])
-                wave.set_phase(new_phi, omega * (t + dt))
-
-    alphas, _ = wave.angles_and_rates(n_steps * dt)
-    poses[n_steps] = pose
-    centers[n_steps] = body_center(pose, alphas, robot)
-    for c in range(n_cycles):
-        dx = centers[(c + 1) * steps_per_cycle, 0] - centers[c * steps_per_cycle, 0]
-        cycle_speed[c] = dx / robot.body_length
-
-    return TrialRecord(
-        times=times, poses=poses, centers=centers, joint_angles=joint_angles,
-        torques=torques, loads=loads,
-        cycle_speed_blc=cycle_speed, cycle_median_load=cycle_median,
-        cycle_phi=cycle_phi, steps_per_cycle=steps_per_cycle, seed=seed,
-        max_residual=max_residual, max_power=max_power,
-        clamp_events=wave.clamp_events,
-    )
+    trial = Trial(params, terrain, seed, controller, load_cfg, rho_override)
+    (out,) = _integrate([trial], (), n_cycles, robot, ground, steps_per_cycle,
+                        mirror, clamp_limit, blend_frac)
+    if isinstance(out, SimulationError):
+        raise out
+    return out

@@ -1,6 +1,7 @@
 """Experiment runner and CLI tests: configs, CSV outputs, determinism."""
 
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import granugait
-from granugait import cli, harness
+from granugait import cli, harness, sim
 from granugait.config import RunConfig
 from granugait.errors import ConfigError, SolverError
 
@@ -229,29 +230,53 @@ def test_sweep_outputs_and_determinism(tmp_path):
 
 
 def test_sweep_simulates_each_cell_once(tmp_path, monkeypatch):
+    """The sweep runs every (depth, phi) cell exactly once, in one batch."""
     calls = []
-    real = harness.simulate_trial
+    real = harness.simulate_trials
 
-    def counting(params, terrain, *args, **kwargs):
-        calls.append((terrain.label, params.body_phase))
-        return real(params, terrain, *args, **kwargs)
+    def counting(trials, *args, **kwargs):
+        calls.append([(t.terrain.label, t.params.body_phase) for t in trials])
+        return real(trials, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "simulate_trial", counting)
+    monkeypatch.setattr(harness, "simulate_trials", counting)
     cfg = small_cfg(sweep_trials=3)
     res = harness.run_sweep(cfg, out_dir=tmp_path)
-    assert len(calls) == len(set(calls)) == len(cfg.depths) * len(cfg.phi_grid)
-    assert len(res.rows) == len(calls) * 3 * cfg.sweep_cycles
+    assert len(calls) == 1
+    cells = calls[0]
+    assert len(cells) == len(set(cells)) == len(cfg.depths) * len(cfg.phi_grid)
+    assert len(res.rows) == len(cells) * 3 * cfg.sweep_cycles
     assert sorted({row[2] for row in res.rows}) == [0, 1, 2]
 
 
 def test_sweep_records_a_failure_per_trial(monkeypatch):
-    def failing(*args, **kwargs):
-        raise SolverError("force balance did not converge", residual=1.0)
+    """A cell whose trial fails records one failure per trial index, and
+    its batch-mates still write their rows; when every cell fails, the
+    sweep records them all and writes no rows."""
+    real = harness.simulate_trials
+    failing_cells = []
 
-    monkeypatch.setattr(harness, "simulate_trial", failing)
+    def failing(trials, *args, **kwargs):
+        outcomes = real(trials, *args, **kwargs)
+        for i in failing_cells or range(len(trials)):
+            outcomes[i] = SolverError("cycle 0, step 3: force balance did "
+                                      "not converge", residual=1.0)
+        return outcomes
+
+    monkeypatch.setattr(harness, "simulate_trials", failing)
     cfg = small_cfg(sweep_trials=3)
+    n_cells = len(cfg.depths) * len(cfg.phi_grid)
+
+    failing_cells.append(1)
     res = harness.run_sweep(cfg)
-    assert len(res.failures) == len(cfg.depths) * len(cfg.phi_grid) * 3
+    bad = (cfg.depths[0], cfg.phi_grid[1])
+    assert [f[:3] for f in res.failures] == [bad + (t,) for t in range(3)]
+    assert all("cycle 0, step 3" in f[3] for f in res.failures)
+    assert len(res.rows) == (n_cells - 1) * 3 * cfg.sweep_cycles
+    assert bad not in res.cell_means and len(res.cell_means) == n_cells - 1
+
+    failing_cells.clear()
+    res = harness.run_sweep(cfg)
+    assert len(res.failures) == n_cells * 3
     assert not res.rows and not res.cell_means
 
 
@@ -260,6 +285,37 @@ def test_sweep_rejects_empty_grid():
     cfg.phi_grid = ()
     with pytest.raises(ValueError):
         harness.run_sweep(cfg)
+
+
+def test_perfbench_tracer_wraps_and_restores_its_entry_points():
+    """perfbench/tracing.py wraps named functions of the package from
+    outside it (``harness.simulate_trial``, ``sim.body_center``, ...).  A
+    renamed or removed one fails here, not in a traced benchmark round; a
+    traced batched and solo experiment run, and uninstall restores every
+    original."""
+    path = os.path.join(os.path.dirname(CONFIGS), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = ("simulate_trial", "build_contacts", "solve_quasistatic_velocity",
+             "contact_forces", "compute_joint_torques", "body_center")
+    before = {name: getattr(sim, name) for name in names}
+    tracer = tracing.Tracer().install()
+    try:
+        assert all(getattr(sim, name) is not before[name] for name in names)
+        cfg = small_cfg()
+        harness.run_model_torque(cfg)
+        harness.run_calibrate(cfg)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(sim, name) is before[name] for name in names)
+    assert harness.simulate_trial is sim.simulate_trial
+    metrics = tracing.layer_metrics(tracer, 0)
+    assert metrics["sim.trials"] == 1            # the calibration trial
+    # two solves a step: one cycle for the model-torque batch, then the
+    # calibration trial
+    assert metrics["sim.solves"] == 2 * cfg.steps_per_cycle * (
+        1 + cfg.sweep_cycles)
 
 
 def test_model_torque_row_count(tmp_path):

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from granugait import harness
+from granugait import harness, sim
 from granugait.config import RunConfig
-from granugait.errors import SolverError
+from granugait.control import ControllerParams, PhaseController
+from granugait.errors import DegenerateSupportError, SolverError
 from granugait.gait import TWO_PI, GaitParams, LegId, leg_contact_fraction
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.percept import LoadPipelineConfig
 from granugait.sim import (
-    ContactSet, JOINT_NAMES, build_contacts, chain_frames,
-    compute_joint_torques, simulate_trial,
+    ContactSet, JOINT_NAMES, Trial, build_contacts, chain_frames,
+    compute_joint_torques, simulate_trial, simulate_trials,
 )
 
 ROBOT = RobotModel()
@@ -258,6 +259,121 @@ def test_controller_hook_applied_at_cycle_boundaries():
     rec = _run(phi=0.0, n_cycles=3, controller=hook, load_cfg=NOISEFREE)
     assert len(calls) == 2          # once per boundary, none after last cycle
     np.testing.assert_allclose(rec.cycle_phi, [0.0, -0.1, -0.2])
+
+
+# ---------------------------------------------------------------------------
+# Lock-step batches: each trial's record is its solo record, bit for bit
+
+BATCH_KW = dict(robot=ROBOT, ground=GROUND, steps_per_cycle=20)
+
+
+def _mixed_trials():
+    """Fresh specs (controllers carry state) covering every kind of trial:
+    three depths, two ramps (the second puts the head at full depth, so that
+    trial's Coulomb contacts are a strict subset of the batch's), three
+    blend-ratio overrides and two controlled trials with different seeds."""
+    def controlled(seed):
+        return Trial(_params(0.0), TerrainProfile.constant(40.0), seed=seed,
+                     controller=PhaseController(ControllerParams(tau0=20.0),
+                                                0.0))
+    return [
+        Trial(_params(-math.pi / 6), TerrainProfile.constant(0.0), seed=1),
+        Trial(_params(-math.pi / 3), TerrainProfile.constant(20.0), seed=2),
+        Trial(_params(0.0), TerrainProfile.constant(40.0), seed=3),
+        Trial(_params(-math.pi / 4), TerrainProfile.ramp(0.02, 0.45), seed=4),
+        Trial(_params(-math.pi / 4), TerrainProfile.ramp(-0.3, 0.5), seed=4),
+        Trial(_params(0.0), TerrainProfile.flat(), rho_override=0.0,
+              load_cfg=NOISEFREE),
+        Trial(_params(-math.pi / 3), TerrainProfile.flat(), rho_override=0.5,
+              load_cfg=NOISEFREE),
+        Trial(_params(-math.pi / 6), TerrainProfile.flat(), rho_override=1.0),
+        controlled(5),
+        controlled(6),
+    ]
+
+
+def _solo(trial, n_cycles=3, **kw):
+    return simulate_trial(trial.params, trial.terrain, n_cycles,
+                          seed=trial.seed, controller=trial.controller,
+                          load_cfg=trial.load_cfg,
+                          rho_override=trial.rho_override, **{**BATCH_KW, **kw})
+
+
+def _assert_same_record(a, b):
+    for name, value in vars(a).items():
+        np.testing.assert_array_equal(getattr(b, name), value, err_msg=name)
+        assert np.shape(getattr(b, name)) == np.shape(value), name
+
+
+def test_batch_equals_solo_runs_bit_for_bit():
+    batch = simulate_trials(_mixed_trials(), 3, **BATCH_KW)
+    solo = [_solo(t) for t in _mixed_trials()]
+    assert len(batch) == len(solo)
+    for a, b in zip(solo, batch):
+        _assert_same_record(a, b)
+    # the controllers acted, and the two seeds drew different noise
+    assert batch[8].cycle_phi[-1] != 0.0
+    assert not np.array_equal(batch[8].loads, batch[9].loads)
+    assert min(rec.clamp_events for rec in batch) > 0
+
+
+def test_batch_of_one_equals_simulate_trial():
+    for i in (1, 8):
+        (rec,) = simulate_trials([_mixed_trials()[i]], 3, **BATCH_KW)
+        _assert_same_record(_solo(_mixed_trials()[i]), rec)
+
+
+def test_batch_mirror_is_shared_and_equals_solo():
+    trials = _mixed_trials()[:3]
+    batch = simulate_trials(trials, 2, mirror=True, **BATCH_KW)
+    for trial, rec in zip(_mixed_trials()[:3], batch):
+        _assert_same_record(_solo(trial, 2, mirror=True), rec)
+
+
+def test_solver_failure_drops_only_its_own_trial(monkeypatch):
+    """A solve that fails for one trial of the batch ends that trial with a
+    SolverError naming its cycle and step; the others finish as if alone."""
+    real = sim.solve_quasistatic_velocity
+    calls = []
+
+    def poisoned(contacts, gm, robot, xi0=None):
+        calls.append(contacts.normal.shape[0])
+        if len(calls) == 2 * 27 + 2:     # the midpoint solve of step 27
+            contacts.normal[2] = np.nan
+        return real(contacts, gm, robot, xi0)
+
+    monkeypatch.setattr(sim, "solve_quasistatic_velocity", poisoned)
+    batch = simulate_trials(_mixed_trials()[:4], 3, **BATCH_KW)
+    monkeypatch.undo()
+    err = batch[2]
+    assert isinstance(err, SolverError) and np.isnan(err.residual)
+    assert str(err).startswith("cycle 1, step 7 (midpoint): force balance "
+                               "did not converge (residual nan)")
+    # the other three redid step 27 without it
+    assert calls[:2 * 27 + 2] == [4] * (2 * 27 + 2)
+    assert calls[2 * 27 + 2:] == [3] * 2 * (60 - 27)
+    for i in (0, 1, 3):
+        _assert_same_record(_solo(_mixed_trials()[i]), batch[i])
+
+
+def test_degenerate_support_drops_only_its_own_trial():
+    """A trial left with no supporting contact ends with a
+    DegenerateSupportError naming its cycle and step, as it does alone."""
+    robot = RobotModel(belly_weight_frac=0.0)
+    hop = GaitParams(duty=0.1, ramp_frac=0.0)    # no foot down mid-cycle
+    flat = TerrainProfile.flat()
+    trials = [Trial(_params(-0.5), flat, rho_override=0.0),
+              Trial(hop, flat, rho_override=0.0),
+              Trial(_params(-0.5), TerrainProfile.constant(20.0))]
+    kw = dict(BATCH_KW, robot=robot)
+    batch = simulate_trials(trials, 2, **kw)
+    with pytest.raises(DegenerateSupportError) as solo_err:
+        _solo(trials[1], 2, robot=robot)
+    assert isinstance(batch[1], DegenerateSupportError)
+    assert str(batch[1]) == str(solo_err.value)
+    assert str(batch[1]).startswith("cycle 0, step ")
+    for i in (0, 2):
+        _assert_same_record(_solo(trials[i], 2, robot=robot), batch[i])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from granugait.errors import DegenerateSupportError
 from granugait.gait import TWO_PI, GaitParams
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.sim import (
-    RESIDUAL_TOL, _Dissipation, _residual, build_contacts,
+    RESIDUAL_TOL, _Dissipation, _newton_steps, _residual, build_contacts,
     solve_quasistatic_velocity,
 )
 
@@ -115,6 +115,18 @@ def test_warm_start_agrees_with_cold_start():
     warm, _, _, _ = solve_quasistatic_velocity(c, GROUND, ROBOT,
                                                xi0=cold + 0.01)
     np.testing.assert_allclose(warm, cold, atol=1e-6)
+
+
+def test_singular_hessian_ends_only_its_own_newton_step():
+    """A singular system yields a NaN step (its line search then fails and
+    its trial stops) while the batch's other systems are solved as alone."""
+    hess = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.diag([1.0, 4.0, 8.0])])
+    grad = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0], [1.0, 2.0, 4.0]])
+    step = _newton_steps(hess, grad)
+    np.testing.assert_array_equal(step[0], [-0.5, -1.0, -1.5])
+    assert np.isnan(step[1]).all()
+    np.testing.assert_array_equal(step[2], [-1.0, -0.5, -0.5])
+    assert np.isnan(_newton_steps(np.zeros((3, 3)), np.ones(3))).all()
 
 
 def test_degenerate_support_raises():
