@@ -12,7 +12,7 @@ import sys
 
 from . import harness
 from .config import RunConfig
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 
 
 def build_parser():
@@ -61,7 +61,11 @@ def main(argv=None):
         if args.steps_per_cycle is not None:
             cfg.steps_per_cycle = args.steps_per_cycle
         cfg.validate()
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as err:
+            raise ConfigError(f"cannot create output directory {args.out}: "
+                              f"{err.strerror}") from err
         result = RUNNERS[args.command](cfg, args.out)
     except SimulationError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -161,11 +161,13 @@ class RunConfig:
             ("blend_frac", self.blend_frac >= 0),
             ("seed", self.seed >= 0),
             ("steps_per_cycle", self.steps_per_cycle >= 10),
-            ("depths", all(0 <= d <= MAX_DEPTH_MM for d in self.depths)),
+            ("depths", len(self.depths) > 0
+             and all(0 <= d <= MAX_DEPTH_MM for d in self.depths)),
             ("phi_grid", len(self.phi_grid) > 0
              and all(self.phi_min - 1e-9 <= p <= self.phi_max + 1e-9
                      for p in self.phi_grid)),
-            ("rho_grid", all(0 <= r <= 1 for r in self.rho_grid)),
+            ("rho_grid", len(self.rho_grid) > 0
+             and all(0 <= r <= 1 for r in self.rho_grid)),
             ("sweep_trials", self.sweep_trials >= 1),
             ("sweep_cycles", self.sweep_cycles >= 1),
             ("classify_trials_per_cell", self.classify_trials_per_cell >= 2),

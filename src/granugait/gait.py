@@ -35,6 +35,11 @@ DIAGONAL_PAIR_A = (LegId.LF, LegId.RH)
 DIAGONAL_PAIR_B = (LegId.RF, LegId.LH)
 
 
+def _check_body_phase(phi):
+    if not -math.pi / 2 - 1e-12 <= phi <= 1e-12:
+        raise ValueError(f"body_phase must lie in [-pi/2, 0], got {phi}")
+
+
 @dataclass(frozen=True)
 class GaitParams:
     """Parameters that fully determine the commanded joint trajectories."""
@@ -51,10 +56,7 @@ class GaitParams:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         if not self.frequency > 0:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
-        if not (-math.pi / 2 - 1e-12 <= self.body_phase <= 1e-12):
-            raise ValueError(
-                f"body_phase must lie in [-pi/2, 0], got {self.body_phase}"
-            )
+        _check_body_phase(self.body_phase)
         if not 0 < self.duty <= 1:
             raise ValueError(f"duty must lie in (0, 1], got {self.duty}")
         if not 0 <= self.ramp_frac < 0.5:
@@ -153,8 +155,7 @@ class BodyWave:
 
     def set_phase(self, new_phi, at_u):
         """Switch the body phase offset at unwrapped wave phase ``at_u``."""
-        if not -math.pi / 2 - 1e-12 <= new_phi <= 1e-12:
-            raise ValueError(f"body_phase must lie in [-pi/2, 0], got {new_phi}")
+        _check_body_phase(new_phi)
         residual, _ = self._blend(at_u)
         n = np.arange(3)
         self._delta = residual + n * (self.phi - new_phi)

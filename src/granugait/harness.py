@@ -50,9 +50,10 @@ def _simulate(cfg, phi, terrain, n_cycles, seed, **kw):
 
 
 def _simulate_batch(cfg, trials, n_cycles):
-    """``simulate_trials`` of independent ``trials`` under ``cfg``, in one
-    lock-step batch: one TrialRecord or SimulationError per trial."""
-    return simulate_trials(trials, n_cycles, **_shared(cfg))
+    """``simulate_trials`` of independent ``trials`` under ``cfg``'s gait,
+    each at its own phase, in one lock-step batch: one TrialRecord or
+    SimulationError per trial."""
+    return simulate_trials(trials, n_cycles, cfg.gait(0.0), **_shared(cfg))
 
 
 def _records(outcomes):
@@ -159,8 +160,7 @@ def run_sweep(cfg: RunConfig, out_dir=None):
     cells = [(depth, phi) for depth in cfg.depths for phi in cfg.phi_grid]
     terrains = {depth: TerrainProfile.constant(depth) for depth in cfg.depths}
     outcomes = _simulate_batch(
-        cfg, [Trial(cfg.gait(phi), terrains[depth],
-                    load_cfg=cfg.load_cfg(noise_cov=0.0))
+        cfg, [Trial(phi, terrains[depth], load_cfg=cfg.load_cfg(noise_cov=0.0))
               for depth, phi in cells], cfg.sweep_cycles)
     for (depth, phi), rec in zip(cells, outcomes):
         if isinstance(rec, SolverError):
@@ -214,7 +214,7 @@ def run_model_torque(cfg: RunConfig, out_dir=None):
     cells = [(phi, rho) for phi in (0.0, -math.pi / 3) for rho in cfg.rho_grid]
     flat = TerrainProfile.flat()
     outcomes = _simulate_batch(
-        cfg, [Trial(cfg.gait(phi), flat, load_cfg=cfg.load_cfg(noise_cov=0.0),
+        cfg, [Trial(phi, flat, load_cfg=cfg.load_cfg(noise_cov=0.0),
                     rho_override=rho) for phi, rho in cells], 1)
     for (phi, rho), rec in zip(cells, _records(outcomes)):
         medians = np.median(np.abs(rec.torques), axis=0)
@@ -247,8 +247,7 @@ def generate_feature_dataset(cfg: RunConfig):
     terrains = {depth: TerrainProfile.constant(depth)
                 for depth in DEPTH_CLASSES}
     outcomes = _simulate_batch(
-        cfg, [Trial(cfg.gait(phi), terrains[depth],
-                    load_cfg=cfg.load_cfg(noise_cov=0.0))
+        cfg, [Trial(phi, terrains[depth], load_cfg=cfg.load_cfg(noise_cov=0.0))
               for _, depth, _, phi in cells], cfg.classify_cycles)
     for (di, depth, pi, phi), rec in zip(cells, _records(outcomes)):
         rngs = (np.random.default_rng(_subseed(cfg.seed, 100, di, pi, trial))
@@ -398,9 +397,8 @@ def run_transition(cfg: RunConfig, out_dir=None, calibration=None):
                 cfg.controller_params(calib.tau0), 0.0)
         elif mode == "fixed_phi_-pi/3":
             phi_init = -math.pi / 3
-        trials.append(Trial(cfg.gait(phi_init), terrain,
-                            _subseed(cfg.seed, 400, mi), controller,
-                            cfg.load_cfg(bias=bias)))
+        trials.append(Trial(phi_init, terrain, _subseed(cfg.seed, 400, mi),
+                            controller, cfg.load_cfg(bias=bias)))
     outcomes = _simulate_batch(cfg, trials, n)
     for mode, rec in zip(TRANSITION_MODES, _records(outcomes)):
         for c in range(n):

@@ -13,23 +13,25 @@ Newton on it, with the quadratic drag share precomputed and no fallback.
 
 Independent trials advance in lock-step over a leading batch axis: every
 kernel below takes leading batch axes (``...``), and a single trial is the
-batch of shape ``()``, whose arrays are those of one trial alone.  Each
-kernel works trial by trial in the same arithmetic whatever the batch, so a
-trial's record does not depend on its batch-mates.
+batch of shape ``()``, whose arrays are those of one trial alone.  A batch
+shares one gait, and so one clock and one stance pattern; each trial keeps
+its own body phase offset.  Each kernel works trial by trial in the same
+arithmetic whatever the batch, so a trial's record does not depend on its
+batch-mates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import percept
 from .errors import DegenerateSupportError, SimulationError, SolverError
-from .gait import (BLEND_FRAC, BODY_JOINT_LIMIT, TWO_PI, BodyWave, GaitParams,
-                   LegId, leg_contact_fraction)
+from .gait import (BLEND_FRAC, BODY_JOINT_LIMIT, TWO_PI, BodyWave, LegId,
+                   leg_contact_fraction)
 from .model import GroundModel, RobotModel, TerrainProfile, blend_ratio
 
 RESIDUAL_TOL = 1e-8      # nondimensional acceptance bound per step
@@ -161,8 +163,9 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     body straddling a flat-to-granular boundary does not drain normal
     load (and hence thrust) from the feet still on rigid ground.
 
-    For a batch, ``params``, ``terrain`` and ``rho_override`` are lists
-    with one entry per trial (or one value shared by all).  A
+    A batch shares ``cycle_phase`` and the gait ``params``, so its feet are
+    in stance together; ``terrain`` and ``rho_override`` are lists with one
+    entry per trial (or one value shared by all).  A
     ``DegenerateSupportError`` marks the trials it concerns in ``failed``.
     """
     _, cs, seg_start = _frames(pose, alphas, robot)
@@ -196,25 +199,18 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
         bf + rho[..., :n_belly] * (1.0 - f_gm - bf))
     belly_total = belly.sum(axis=-1)
     feet_total = robot.weight - belly_total
-    phases = np.asarray(cycle_phase).reshape(-1)
-    s = np.array([[leg_contact_fraction(leg, phase, g) for leg in LegId]
-                  for phase, g in zip(phases, _per_trial(params, n_trials))]
-                 ).reshape(batch + (len(LegId),))
-    s_sum = s.sum(axis=-1)
-    stance = s_sum > 1e-12
-    if all(stance.flat):
-        normal[..., n_belly:] = feet_total[..., None] * s / s_sum[..., None]
+    s = np.array([leg_contact_fraction(leg, cycle_phase, params)
+                  for leg in LegId])
+    s_sum = s.sum()
+    if s_sum > 1e-12:
+        normal[..., n_belly:] = feet_total[..., None] * s / s_sum
     else:
-        # Trials with no foot in stance: the belly carries the whole weight.
-        lifted = ~stance & (feet_total > 1e-12 * robot.weight)
+        # No foot in stance: the belly carries the whole weight.
+        lifted = feet_total > 1e-12 * robot.weight
         unsupported = lifted & (belly_total <= 1e-12)
         if any(unsupported.flat):
             raise DegenerateSupportError(
                 "no ground contact supports the robot", failed=unsupported)
-        normal[..., n_belly:] = np.where(
-            stance[..., None],
-            feet_total[..., None] * s / np.where(stance, s_sum, 1.0)[..., None],
-            0.0)
         belly *= np.divide(robot.weight, belly_total, out=np.ones(batch),
                            where=lifted)[..., None]
 
@@ -502,11 +498,11 @@ def default_initial_pose(robot):
 
 @dataclass
 class Trial:
-    """What one trial of a lock-step batch keeps for itself: its gait,
-    terrain, seed, per-cycle controller, load pipeline and blend-ratio
-    override (see ``simulate_trial`` for each)."""
+    """What one trial of a lock-step batch keeps for itself: its body phase
+    offset, terrain, seed, per-cycle controller, load pipeline and
+    blend-ratio override (see ``simulate_trial`` for each)."""
 
-    params: GaitParams
+    phi: float
     terrain: TerrainProfile
     seed: int = 0
     controller: object = None
@@ -543,17 +539,16 @@ def _trial_error(err, i, where):
     return type(err)(f"{where}: {err}")
 
 
-def _wave_cycle(b, c, spc):
+def _wave_cycle(b, c, spc, dt):
     """Joint angles and rates of every trial at each step of cycle ``c`` and
     at its midpoint, interleaved: row 2j is step j, row 2j + 1 its midpoint.
     A trial's wave changes only at cycle boundaries, so a cycle is known in
     advance."""
-    k = np.arange(c * spc, (c + 1) * spc)
+    t = np.arange(c * spc, (c + 1) * spc) * dt
+    times = np.stack([t, t + 0.5 * dt], axis=-1).reshape(-1)
     angles, rates = [], []
-    for wave, dt in zip(b.waves, b.rows(b.dt)):
-        t = k * dt
-        a, r = wave.angles_and_rates(np.stack([t, t + 0.5 * dt], axis=-1)
-                                     .reshape(-1))
+    for wave in b.waves:
+        a, r = wave.angles_and_rates(times)
         angles.append(a)
         rates.append(r)
     shape = b.pose.shape[:-1] + (2 * spc, 3)
@@ -561,10 +556,11 @@ def _wave_cycle(b, c, spc):
     b.rates = np.reshape(rates, shape)
 
 
-def _integrate(trials, shape, n_cycles, robot, ground, steps_per_cycle,
-               mirror, clamp_limit, blend_frac):
+def _integrate(trials, shape, params, n_cycles, robot, ground,
+               steps_per_cycle, mirror, clamp_limit, blend_frac):
     """Advance ``trials`` in lock-step over leading batch ``shape`` (``()``
-    for one trial alone).  Returns one TrialRecord per trial, or the
+    for one trial alone), each at its own phase offset of the shared gait
+    ``params``.  Returns one TrialRecord per trial, or the
     ``SolverError``/``DegenerateSupportError`` that ended it; a failure
     drops only its own trial, and the others redo the step without it."""
     robot = robot or RobotModel()
@@ -578,16 +574,17 @@ def _integrate(trials, shape, n_cycles, robot, ground, steps_per_cycle,
     spc = steps_per_cycle
     n_steps = n_cycles * spc
     n = len(trials)
+    omega = params.frequency
+    dt = TWO_PI / omega / spc
 
-    omega = np.reshape([t.params.frequency for t in trials], shape)[()]
     b = _Batch(
         ids=list(range(n)), trials=list(trials),
-        waves=[BodyWave(t.params, clamp_limit=clamp_limit,
-                        blend_frac=blend_frac, mirror=mirror) for t in trials],
+        waves=[BodyWave(replace(params, body_phase=t.phi),
+                        clamp_limit=clamp_limit, blend_frac=blend_frac,
+                        mirror=mirror) for t in trials],
         filts=[percept.OnlineLoadPipeline(
             t.load_cfg or percept.LoadPipelineConfig(),
             np.random.default_rng(t.seed)) for t in trials],
-        omega=omega, dt=TWO_PI / omega / spc,
         pose=np.broadcast_to(default_initial_pose(robot), shape + (3,)),
         xi_prev=None,
         max_residual=np.zeros(shape), max_power=np.full(shape, -np.inf),
@@ -605,34 +602,31 @@ def _integrate(trials, shape, n_cycles, robot, ground, steps_per_cycle,
     for k in range(n_steps):
         c, j = divmod(k, spc)
         if j == 0:
-            _wave_cycle(b, c, spc)
+            _wave_cycle(b, c, spc, dt)
+        t = k * dt
         while b.ids:
             where = f"cycle {c}, step {j}"
             try:
-                t = k * b.dt
-                args = ([tr.params for tr in b.trials], robot,
-                        [tr.terrain for tr in b.trials],
+                args = (params, robot, [tr.terrain for tr in b.trials],
                         [tr.rho_override for tr in b.trials])
                 alphas = b.angles[..., 2 * j, :]
                 contacts = build_contacts(b.pose, alphas,
                                           b.rates[..., 2 * j, :],
-                                          (b.omega * t) % TWO_PI, *args)
+                                          (omega * t) % TWO_PI, *args)
                 xi, F, res, power = _balance(contacts, ground, robot,
                                              b.xi_prev)
 
                 # Midpoint rule: re-balance at the half step so the pose
                 # update is second-order accurate in dt.
                 where += " (midpoint)"
-                t_mid = t + 0.5 * b.dt
-                pose_half = b.pose + (0.5 * b.dt)[..., None] * xi
                 contacts_m = build_contacts(
-                    pose_half, b.angles[..., 2 * j + 1, :],
-                    b.rates[..., 2 * j + 1, :], (b.omega * t_mid) % TWO_PI,
-                    *args)
+                    b.pose + 0.5 * dt * xi, b.angles[..., 2 * j + 1, :],
+                    b.rates[..., 2 * j + 1, :],
+                    (omega * (t + 0.5 * dt)) % TWO_PI, *args)
                 xi_m, _, res_m, power_m = _balance(contacts_m, ground, robot,
                                                    xi)
             except (SolverError, DegenerateSupportError) as err:
-                failed = (np.ones(b.omega.shape, dtype=bool)
+                failed = (np.ones(b.pose.shape[:-1], dtype=bool)
                           if err.failed is None else err.failed)
                 for i in np.flatnonzero(failed):
                     outcomes[b.ids[i]] = _trial_error(err, i, where)
@@ -649,12 +643,11 @@ def _integrate(trials, shape, n_cycles, robot, ground, steps_per_cycle,
         b.torques[..., k, :] = compute_joint_torques(contacts, F, robot)
         b.max_residual = np.maximum(b.max_residual, np.maximum(res, res_m))
         b.max_power = np.maximum(b.max_power, np.maximum(power, power_m))
-        b.pose = b.pose + b.dt[..., None] * xi_m
+        b.pose = b.pose + dt * xi_m
         b.xi_prev = xi_m
 
         if j == spc - 1:
             lo, hi = c * spc, k + 1
-            u_next = b.rows(b.omega * (t + b.dt))
             loads, torques = b.rows(b.loads), b.rows(b.torques)
             medians, phis = b.rows(b.cycle_median), b.rows(b.cycle_phi)
             for i, (trial, wave, filt) in enumerate(zip(b.trials, b.waves,
@@ -664,11 +657,10 @@ def _integrate(trials, shape, n_cycles, robot, ground, steps_per_cycle,
                 phis[i, c] = wave.phi
                 if trial.controller is not None and c < n_cycles - 1:
                     wave.set_phase(trial.controller(medians[i, c, 1]),
-                                   u_next[i])
+                                   omega * (t + dt))
 
     alphas = np.reshape([w.angles_and_rates(n_steps * dt)[0]
-                         for w, dt in zip(b.waves, b.rows(b.dt))],
-                        b.pose.shape)
+                         for w in b.waves], b.pose.shape)
     b.poses[..., n_steps, :] = b.pose
     b.centers[..., n_steps, :] = body_center(b.pose, alphas, robot)
     speed = (b.centers[..., spc::spc, 0]
@@ -689,21 +681,23 @@ def _integrate(trials, shape, n_cycles, robot, ground, steps_per_cycle,
     return outcomes
 
 
-def simulate_trials(trials, n_cycles, robot=None, ground=None,
+def simulate_trials(trials, n_cycles, params, robot=None, ground=None,
                     steps_per_cycle=STEPS_PER_CYCLE, mirror=False,
                     clamp_limit=BODY_JOINT_LIMIT, blend_frac=BLEND_FRAC):
     """Run independent ``Trial``s in lock-step, one batch axis over them.
 
-    The robot, ground, step count, mirror, joint clamp and phase blend are
-    shared; each trial keeps its own gait, terrain, seed, generator, load
-    pipeline, controller (called at the shared cycle boundaries) and
-    blend-ratio override.  Returns one entry per trial, in order: its
-    TrialRecord, equal bit for bit to ``simulate_trial`` of that trial
-    alone, or the ``SolverError``/``DegenerateSupportError`` that ended it,
-    naming its cycle and step.  A failure ends only its own trial.
+    The gait ``params`` (and with it the clock), robot, ground, step count,
+    mirror, joint clamp and phase blend are shared; each trial runs the gait
+    at its own phase offset ``phi`` in place of ``params.body_phase``, and
+    keeps its own terrain, seed, generator, load pipeline, controller
+    (called at the shared cycle boundaries) and blend-ratio override.
+    Returns one entry per trial, in order: its TrialRecord, equal bit for
+    bit to ``simulate_trial`` of that trial alone, or the
+    ``SolverError``/``DegenerateSupportError`` that ended it, naming its
+    cycle and step.  A failure ends only its own trial.
     """
     trials = list(trials)
-    return _integrate(trials, (len(trials),), n_cycles, robot, ground,
+    return _integrate(trials, (len(trials),), params, n_cycles, robot, ground,
                       steps_per_cycle, mirror, clamp_limit, blend_frac)
 
 
@@ -720,9 +714,10 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
     record bit for bit.  A failed solve raises ``SolverError`` naming its
     cycle and step.
     """
-    trial = Trial(params, terrain, seed, controller, load_cfg, rho_override)
-    (out,) = _integrate([trial], (), n_cycles, robot, ground, steps_per_cycle,
-                        mirror, clamp_limit, blend_frac)
+    trial = Trial(params.body_phase, terrain, seed, controller, load_cfg,
+                  rho_override)
+    (out,) = _integrate([trial], (), params, n_cycles, robot, ground,
+                        steps_per_cycle, mirror, clamp_limit, blend_frac)
     if isinstance(out, SimulationError):
         raise out
     return out

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import granugait
-from granugait import cli, harness, sim
+from granugait import cli, gait, harness, percept, sim
 from granugait.config import RunConfig
 from granugait.errors import ConfigError, SolverError
 
@@ -96,7 +96,7 @@ def test_config_unparseable_value(tmp_path):
     ("steps_per_cycle", 5), ("closedloop_depth", 50.0),
     ("phi_grid", (0.5,)), ("order", "nonsense"),
     ("clip", -5.0), ("seed", -1), ("clamp_limit", 0.0), ("blend_frac", -0.1),
-    ("rho_grid", (1.5,)),
+    ("rho_grid", (1.5,)), ("depths", ()), ("rho_grid", ()),
     ("knn_k", 526),   # default training split: 3 * 7 * 10 * 5 // 2 = 525
     ("fore_along", 5.0), ("fore_along", -0.01), ("hind_along", 0.2),
     ("hind_along", -0.01), ("leg_lateral", 0.0), ("leg_lateral", -0.02),
@@ -179,6 +179,21 @@ def test_cli_rejects_phase_outside_gait_range_without_traceback(
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_output_below_a_regular_file_without_traceback(tmp_path):
+    blocker = tmp_path / "results"
+    blocker.write_text("")
+    src = os.path.dirname(os.path.dirname(granugait.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "granugait.cli", "calibrate",
+         "--out", str(blocker / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot create output directory")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_shipped_configs_validate():
     for name in ("default.ini", "quick.ini"):
         RunConfig.from_ini(os.path.join(CONFIGS, name))
@@ -235,7 +250,7 @@ def test_sweep_simulates_each_cell_once(tmp_path, monkeypatch):
     real = harness.simulate_trials
 
     def counting(trials, *args, **kwargs):
-        calls.append([(t.terrain.label, t.params.body_phase) for t in trials])
+        calls.append([(t.terrain.label, t.phi) for t in trials])
         return real(trials, *args, **kwargs)
 
     monkeypatch.setattr(harness, "simulate_trials", counting)
@@ -297,21 +312,31 @@ def test_perfbench_tracer_wraps_and_restores_its_entry_points():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    names = ("simulate_trial", "build_contacts", "solve_quasistatic_velocity",
-             "contact_forces", "compute_joint_torques", "body_center")
-    before = {name: getattr(sim, name) for name in names}
+    bound = [(sim, name) for name in (
+        "simulate_trial", "build_contacts", "solve_quasistatic_velocity",
+        "contact_forces", "compute_joint_torques", "body_center")] + [
+        (harness, "simulate_trial"), (gait.BodyWave, "angles_and_rates"),
+        (percept.OnlineLoadPipeline, "push_raw"),
+        (percept.OnlineLoadPipeline, "cycle_median")]
+    before = [getattr(owner, name) for owner, name in bound]
     tracer = tracing.Tracer().install()
     try:
-        assert all(getattr(sim, name) is not before[name] for name in names)
+        assert all(getattr(owner, name) is not raw
+                   for (owner, name), raw in zip(bound, before))
         cfg = small_cfg()
         harness.run_model_torque(cfg)
         harness.run_calibrate(cfg)
     finally:
         tracer.uninstall()
-    assert all(getattr(sim, name) is before[name] for name in names)
+    assert all(getattr(owner, name) is raw
+               for (owner, name), raw in zip(bound, before))
     assert harness.simulate_trial is sim.simulate_trial
     metrics = tracing.layer_metrics(tracer, 0)
     assert metrics["sim.trials"] == 1            # the calibration trial
+    assert metrics["sim.trials_unique"] == 1
+    # its solves carry its terrain regime, and its load pipeline ran
+    assert metrics["sim.solve_s.40mm"] > 0
+    assert metrics["percept.online_load_s"] > 0
     # two solves a step: one cycle for the model-torque batch, then the
     # calibration trial
     assert metrics["sim.solves"] == 2 * cfg.steps_per_cycle * (

@@ -1,5 +1,6 @@
 """Trial-integration tests: determinism, convergence, symmetry, torques."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -115,6 +116,59 @@ def test_feet_below_the_stance_threshold_carry_exactly_zero_load():
                        cycle_phase, params, ROBOT, TerrainProfile.flat())
     assert np.all(c.normal[N_BELLY:] == 0.0)
     assert c.normal[:N_BELLY].sum() == pytest.approx(ROBOT.weight, rel=1e-12)
+
+
+#: A trot with no foot down between its two short stance windows.
+HOP = GaitParams(duty=0.1, ramp_frac=0.0)
+
+
+def test_no_foot_in_stance_fails_only_the_unsupported_trials(monkeypatch):
+    """With no foot in stance the belly carries the whole weight.  A batch
+    fails exactly the trials whose belly bears nothing, from one stance
+    evaluation for the whole batch; rebuilt without them, the supported
+    trials get their solo contacts bit for bit."""
+    robot = RobotModel(belly_weight_frac=0.0)
+    cycle_phase = 2.0
+    assert all(leg_contact_fraction(leg, cycle_phase, HOP) == 0.0
+               for leg in LegId)
+    pose = np.array([[0.225, 0.0, 0.0], [0.2, 0.01, 0.1],
+                     [0.25, -0.02, -0.1], [0.225, 0.0, 0.05]])
+    alphas = np.array([[0.3, -0.2, 0.1], [0.0, 0.1, -0.2],
+                       [-0.3, 0.2, 0.0], [0.1, 0.1, 0.1]])
+    rates = np.array([[0.5, -0.3, 0.2], [0.0, 0.0, 0.0],
+                      [-1.0, 0.4, 0.3], [0.2, 0.2, 0.2]])
+    # granular, flat and unsupported, flat with a drag share, bare beads
+    terrains = [TerrainProfile.constant(20.0), TerrainProfile.flat(),
+                TerrainProfile.flat(), TerrainProfile.constant(0.0)]
+    overrides = [None, 0.0, 0.5, None]
+    calls = []
+
+    def counted(leg, t, g):
+        calls.append(leg)
+        return leg_contact_fraction(leg, t, g)
+
+    monkeypatch.setattr(sim, "leg_contact_fraction", counted)
+    with pytest.raises(DegenerateSupportError) as err:
+        build_contacts(pose, alphas, rates, cycle_phase, HOP, robot,
+                       terrains, overrides)
+    assert len(calls) == len(LegId)
+    np.testing.assert_array_equal(err.value.failed,
+                                  [False, True, False, True])
+
+    keep = [0, 2]
+    c = build_contacts(pose[keep], alphas[keep], rates[keep], cycle_phase,
+                       HOP, robot, [terrains[i] for i in keep],
+                       [overrides[i] for i in keep])
+    for row, i in enumerate(keep):
+        solo = build_contacts(pose[i], alphas[i], rates[i], cycle_phase, HOP,
+                              robot, terrains[i], overrides[i])
+        for name, value in vars(solo).items():
+            if name != "seg":
+                np.testing.assert_array_equal(getattr(c, name)[row], value,
+                                              err_msg=name)
+        assert np.all(c.normal[row, N_BELLY:] == 0.0)
+        assert c.normal[row, :N_BELLY].sum() == pytest.approx(robot.weight,
+                                                              rel=1e-12)
 
 
 _angle = st.floats(min_value=-math.pi / 4, max_value=math.pi / 4)
@@ -264,7 +318,8 @@ def test_controller_hook_applied_at_cycle_boundaries():
 # ---------------------------------------------------------------------------
 # Lock-step batches: each trial's record is its solo record, bit for bit
 
-BATCH_KW = dict(robot=ROBOT, ground=GROUND, steps_per_cycle=20)
+BATCH_KW = dict(params=GaitParams(), robot=ROBOT, ground=GROUND,
+                steps_per_cycle=20)
 
 
 def _mixed_trials():
@@ -273,30 +328,32 @@ def _mixed_trials():
     trial's Coulomb contacts are a strict subset of the batch's), three
     blend-ratio overrides and two controlled trials with different seeds."""
     def controlled(seed):
-        return Trial(_params(0.0), TerrainProfile.constant(40.0), seed=seed,
+        return Trial(0.0, TerrainProfile.constant(40.0), seed=seed,
                      controller=PhaseController(ControllerParams(tau0=20.0),
                                                 0.0))
     return [
-        Trial(_params(-math.pi / 6), TerrainProfile.constant(0.0), seed=1),
-        Trial(_params(-math.pi / 3), TerrainProfile.constant(20.0), seed=2),
-        Trial(_params(0.0), TerrainProfile.constant(40.0), seed=3),
-        Trial(_params(-math.pi / 4), TerrainProfile.ramp(0.02, 0.45), seed=4),
-        Trial(_params(-math.pi / 4), TerrainProfile.ramp(-0.3, 0.5), seed=4),
-        Trial(_params(0.0), TerrainProfile.flat(), rho_override=0.0,
+        Trial(-math.pi / 6, TerrainProfile.constant(0.0), seed=1),
+        Trial(-math.pi / 3, TerrainProfile.constant(20.0), seed=2),
+        Trial(0.0, TerrainProfile.constant(40.0), seed=3),
+        Trial(-math.pi / 4, TerrainProfile.ramp(0.02, 0.45), seed=4),
+        Trial(-math.pi / 4, TerrainProfile.ramp(-0.3, 0.5), seed=4),
+        Trial(0.0, TerrainProfile.flat(), rho_override=0.0,
               load_cfg=NOISEFREE),
-        Trial(_params(-math.pi / 3), TerrainProfile.flat(), rho_override=0.5,
+        Trial(-math.pi / 3, TerrainProfile.flat(), rho_override=0.5,
               load_cfg=NOISEFREE),
-        Trial(_params(-math.pi / 6), TerrainProfile.flat(), rho_override=1.0),
+        Trial(-math.pi / 6, TerrainProfile.flat(), rho_override=1.0),
         controlled(5),
         controlled(6),
     ]
 
 
 def _solo(trial, n_cycles=3, **kw):
-    return simulate_trial(trial.params, trial.terrain, n_cycles,
-                          seed=trial.seed, controller=trial.controller,
-                          load_cfg=trial.load_cfg,
-                          rho_override=trial.rho_override, **{**BATCH_KW, **kw})
+    """``trial`` alone, with the batch's gait at the trial's phase."""
+    kw = {**BATCH_KW, **kw}
+    params = dataclasses.replace(kw.pop("params"), body_phase=trial.phi)
+    return simulate_trial(params, trial.terrain, n_cycles, seed=trial.seed,
+                          controller=trial.controller, load_cfg=trial.load_cfg,
+                          rho_override=trial.rho_override, **kw)
 
 
 def _assert_same_record(a, b):
@@ -358,22 +415,22 @@ def test_solver_failure_drops_only_its_own_trial(monkeypatch):
 
 def test_degenerate_support_drops_only_its_own_trial():
     """A trial left with no supporting contact ends with a
-    DegenerateSupportError naming its cycle and step, as it does alone."""
+    DegenerateSupportError naming its cycle and step, as it does alone; its
+    batch-mates, whose bellies carry the weight, finish as if alone."""
     robot = RobotModel(belly_weight_frac=0.0)
-    hop = GaitParams(duty=0.1, ramp_frac=0.0)    # no foot down mid-cycle
     flat = TerrainProfile.flat()
-    trials = [Trial(_params(-0.5), flat, rho_override=0.0),
-              Trial(hop, flat, rho_override=0.0),
-              Trial(_params(-0.5), TerrainProfile.constant(20.0))]
-    kw = dict(BATCH_KW, robot=robot)
-    batch = simulate_trials(trials, 2, **kw)
+    trials = [Trial(-0.5, flat, rho_override=0.5),
+              Trial(0.0, flat, rho_override=0.0),
+              Trial(-0.5, TerrainProfile.constant(20.0))]
+    kw = dict(params=HOP, robot=robot)
+    batch = simulate_trials(trials, 2, **{**BATCH_KW, **kw})
     with pytest.raises(DegenerateSupportError) as solo_err:
-        _solo(trials[1], 2, robot=robot)
+        _solo(trials[1], 2, **kw)
     assert isinstance(batch[1], DegenerateSupportError)
     assert str(batch[1]) == str(solo_err.value)
     assert str(batch[1]).startswith("cycle 0, step ")
     for i in (0, 2):
-        _assert_same_record(_solo(trials[i], 2, robot=robot), batch[i])
+        _assert_same_record(_solo(trials[i], 2, **kw), batch[i])
 
 
 # ---------------------------------------------------------------------------
