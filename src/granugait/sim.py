@@ -17,7 +17,8 @@ batch of shape ``()``, whose arrays are those of one trial alone.  A batch
 shares one gait, and so one clock and one stance pattern; each trial keeps
 its own body phase offset.  Each kernel works trial by trial in the same
 arithmetic whatever the batch, so a trial's record does not depend on its
-batch-mates.
+batch-mates.  A failure ends the whole batch: the error names the failing
+trial, cycle and step.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import percept
-from .errors import DegenerateSupportError, SimulationError, SolverError
+from .errors import DegenerateSupportError, SolverError
 from .gait import (BLEND_FRAC, BODY_JOINT_LIMIT, TWO_PI, BodyWave, LegId,
                    leg_contact_fraction)
 from .model import GroundModel, RobotModel, TerrainProfile, blend_ratio
@@ -511,28 +512,26 @@ class Trial:
 
 
 class _Batch:
-    """Lock-step state of the trials still running: arrays with the batch's
-    leading axes, and per-trial lists in batch order."""
+    """Lock-step state of a batch: arrays with the batch's leading axes, and
+    per-trial lists in batch order."""
 
     def __init__(self, **fields):
         self.__dict__.update(fields)
-
-    def keep(self, mask):
-        """Drop the trials where ``mask`` is False."""
-        flags = np.atleast_1d(mask)
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray):
-                setattr(self, name, value[mask])
-            elif isinstance(value, list):
-                setattr(self, name, [x for x, f in zip(value, flags) if f])
 
     def rows(self, a):
         """``a`` with its batch axes flattened into one, row i for trial i."""
         return a.reshape((-1,) + a.shape[self.pose.ndim - 1:])
 
 
-def _trial_error(err, i, where):
-    """Trial ``i``'s share of the batch error ``err``, prefixed by ``where``."""
+def _trial_error(err, trials, shape, where):
+    """The batch error ``err`` as the error of its first failing trial,
+    prefixed by ``where`` and, in a batch, by that trial's index, phase
+    offset and terrain."""
+    i = 0 if err.failed is None else int(np.flatnonzero(err.failed)[0])
+    if shape:
+        t = trials[i]
+        where = (f"trial {i} (phi {t.phi:.6g}, terrain {t.terrain.label}), "
+                 f"{where}")
     if isinstance(err, SolverError):
         res = float(np.reshape(err.residual, -1)[i])
         return SolverError(f"{where}: {_not_balanced(res)}", residual=res)
@@ -560,9 +559,9 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
                steps_per_cycle, mirror, clamp_limit, blend_frac):
     """Advance ``trials`` in lock-step over leading batch ``shape`` (``()``
     for one trial alone), each at its own phase offset of the shared gait
-    ``params``.  Returns one TrialRecord per trial, or the
-    ``SolverError``/``DegenerateSupportError`` that ended it; a failure
-    drops only its own trial, and the others redo the step without it."""
+    ``params``.  Returns one TrialRecord per trial; the first
+    ``SolverError``/``DegenerateSupportError`` ends the batch (see
+    ``_trial_error``)."""
     robot = robot or RobotModel()
     ground = ground or GroundModel()
     if n_cycles < 1:
@@ -573,12 +572,12 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
         robot = robot.mirrored()
     spc = steps_per_cycle
     n_steps = n_cycles * spc
-    n = len(trials)
     omega = params.frequency
     dt = TWO_PI / omega / spc
+    terrains = [t.terrain for t in trials]
+    overrides = [t.rho_override for t in trials]
 
     b = _Batch(
-        ids=list(range(n)), trials=list(trials),
         waves=[BodyWave(replace(params, body_phase=t.phi),
                         clamp_limit=clamp_limit, blend_frac=blend_frac,
                         mirror=mirror) for t in trials],
@@ -597,44 +596,30 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
         cycle_median=np.empty(shape + (n_cycles, 3)),
         cycle_phi=np.empty(shape + (n_cycles,)),
     )
-    outcomes = [None] * n
 
     for k in range(n_steps):
         c, j = divmod(k, spc)
         if j == 0:
             _wave_cycle(b, c, spc, dt)
         t = k * dt
-        while b.ids:
-            where = f"cycle {c}, step {j}"
-            try:
-                args = (params, robot, [tr.terrain for tr in b.trials],
-                        [tr.rho_override for tr in b.trials])
-                alphas = b.angles[..., 2 * j, :]
-                contacts = build_contacts(b.pose, alphas,
-                                          b.rates[..., 2 * j, :],
-                                          (omega * t) % TWO_PI, *args)
-                xi, F, res, power = _balance(contacts, ground, robot,
-                                             b.xi_prev)
+        where = f"cycle {c}, step {j}"
+        alphas = b.angles[..., 2 * j, :]
+        try:
+            contacts = build_contacts(b.pose, alphas, b.rates[..., 2 * j, :],
+                                      (omega * t) % TWO_PI, params, robot,
+                                      terrains, overrides)
+            xi, F, res, power = _balance(contacts, ground, robot, b.xi_prev)
 
-                # Midpoint rule: re-balance at the half step so the pose
-                # update is second-order accurate in dt.
-                where += " (midpoint)"
-                contacts_m = build_contacts(
-                    b.pose + 0.5 * dt * xi, b.angles[..., 2 * j + 1, :],
-                    b.rates[..., 2 * j + 1, :],
-                    (omega * (t + 0.5 * dt)) % TWO_PI, *args)
-                xi_m, _, res_m, power_m = _balance(contacts_m, ground, robot,
-                                                   xi)
-            except (SolverError, DegenerateSupportError) as err:
-                failed = (np.ones(b.pose.shape[:-1], dtype=bool)
-                          if err.failed is None else err.failed)
-                for i in np.flatnonzero(failed):
-                    outcomes[b.ids[i]] = _trial_error(err, i, where)
-                b.keep(~failed)
-                continue
-            break
-        if not b.ids:
-            return outcomes
+            # Midpoint rule: re-balance at the half step so the pose update
+            # is second-order accurate in dt.
+            where += " (midpoint)"
+            contacts_m = build_contacts(
+                b.pose + 0.5 * dt * xi, b.angles[..., 2 * j + 1, :],
+                b.rates[..., 2 * j + 1, :], (omega * (t + 0.5 * dt)) % TWO_PI,
+                params, robot, terrains, overrides)
+            xi_m, _, res_m, power_m = _balance(contacts_m, ground, robot, xi)
+        except (SolverError, DegenerateSupportError) as err:
+            raise _trial_error(err, trials, shape, where) from err
 
         b.times[..., k] = t
         b.poses[..., k, :] = b.pose
@@ -650,8 +635,8 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
             lo, hi = c * spc, k + 1
             loads, torques = b.rows(b.loads), b.rows(b.torques)
             medians, phis = b.rows(b.cycle_median), b.rows(b.cycle_phi)
-            for i, (trial, wave, filt) in enumerate(zip(b.trials, b.waves,
-                                                        b.filts)):
+            for i, (trial, wave, filt) in enumerate(zip(trials, b.waves,
+                                                      b.filts)):
                 loads[i, lo:hi] = filt.push_raw(torques[i, lo:hi])
                 medians[i, c] = filt.cycle_median(lo, hi)
                 phis[i, c] = wave.phi
@@ -665,8 +650,8 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
     b.centers[..., n_steps, :] = body_center(b.pose, alphas, robot)
     speed = (b.centers[..., spc::spc, 0]
              - b.centers[..., :n_steps:spc, 0]) / robot.body_length
-    for i, (trial, wave) in enumerate(zip(b.trials, b.waves)):
-        outcomes[b.ids[i]] = TrialRecord(
+    return [
+        TrialRecord(
             times=b.rows(b.times)[i], poses=b.rows(b.poses)[i],
             centers=b.rows(b.centers)[i],
             joint_angles=b.rows(b.joint_angles)[i],
@@ -678,7 +663,7 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
             max_power=float(b.rows(b.max_power)[i]),
             clamp_events=wave.clamp_events,
         )
-    return outcomes
+        for i, (trial, wave) in enumerate(zip(trials, b.waves))]
 
 
 def simulate_trials(trials, n_cycles, params, robot=None, ground=None,
@@ -691,10 +676,10 @@ def simulate_trials(trials, n_cycles, params, robot=None, ground=None,
     at its own phase offset ``phi`` in place of ``params.body_phase``, and
     keeps its own terrain, seed, generator, load pipeline, controller
     (called at the shared cycle boundaries) and blend-ratio override.
-    Returns one entry per trial, in order: its TrialRecord, equal bit for
-    bit to ``simulate_trial`` of that trial alone, or the
-    ``SolverError``/``DegenerateSupportError`` that ended it, naming its
-    cycle and step.  A failure ends only its own trial.
+    Returns one TrialRecord per trial, in order, equal bit for bit to
+    ``simulate_trial`` of that trial alone.  A failing trial ends the
+    batch: its ``SolverError``/``DegenerateSupportError`` is raised, naming
+    its index in the batch, phase offset, terrain, cycle and step.
     """
     trials = list(trials)
     return _integrate(trials, (len(trials),), params, n_cycles, robot, ground,
@@ -711,13 +696,12 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
     ``controller``, when given, is called once per cycle boundary with that
     cycle's median lower-joint load and must return the phase offset to
     command for the next cycle.  Identical inputs and seed reproduce the
-    record bit for bit.  A failed solve raises ``SolverError`` naming its
-    cycle and step.
+    record bit for bit.  A failed solve raises ``SolverError``, and a step
+    with no supporting contact ``DegenerateSupportError``, naming its cycle
+    and step.
     """
     trial = Trial(params.body_phase, terrain, seed, controller, load_cfg,
                   rho_override)
-    (out,) = _integrate([trial], (), params, n_cycles, robot, ground,
+    (rec,) = _integrate([trial], (), params, n_cycles, robot, ground,
                         steps_per_cycle, mirror, clamp_limit, blend_frac)
-    if isinstance(out, SimulationError):
-        raise out
-    return out
+    return rec

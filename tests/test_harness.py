@@ -1,5 +1,6 @@
 """Experiment runner and CLI tests: configs, CSV outputs, determinism."""
 
+import configparser
 import dataclasses
 import importlib.util
 import math
@@ -102,6 +103,9 @@ def test_config_unparseable_value(tmp_path):
     ("hind_along", -0.01), ("leg_lateral", 0.0), ("leg_lateral", -0.02),
     # phases outside the gait range [-pi/2, 0]
     ("calibration_phi", 0.5), ("phi_max", 0.3), ("phi_min", -2.0),
+    # a repeated grid point would run its cell twice
+    ("depths", (0.0, 40.0, 0.0)), ("phi_grid", (0.0, 0.0)),
+    ("rho_grid", (0.5, 0.5)),
 ])
 def test_config_validation_names_offending_key(key, value):
     cfg = RunConfig()
@@ -197,6 +201,36 @@ def test_cli_rejects_output_below_a_regular_file_without_traceback(tmp_path):
 def test_shipped_configs_validate():
     for name in ("default.ini", "quick.ini"):
         RunConfig.from_ini(os.path.join(CONFIGS, name))
+    # default.ini spells out every key (test_model.py checks that each is
+    # at its default)
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(os.path.join(CONFIGS, "default.ini"), encoding="utf-8")
+    assert {s: tuple(parser[s]) for s in parser.sections()} == \
+        RunConfig._SECTIONS
+
+
+@pytest.mark.parametrize("content", [
+    b"[robot]\nmass = 0.6\nmass = 0.7\n",
+    b"[robot]\nmass = 0.6\n[robot]\nfriction = 0.3\n",
+    b"mass = 0.6\n",
+    b"[robot]\nmass = \xff\n",
+    b"[percept]\norder = 50%\n",
+], ids=["duplicate_key", "duplicate_section", "no_section_header",
+        "non_utf8_byte", "percent_sign"])
+def test_cli_rejects_malformed_config_without_traceback(tmp_path, content):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(content)
+    src = os.path.dirname(os.path.dirname(granugait.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "granugait.cli", "calibrate", "--config",
+         str(bad), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_infinite_mass(tmp_path, capsys):
@@ -263,36 +297,52 @@ def test_sweep_simulates_each_cell_once(tmp_path, monkeypatch):
     assert sorted({row[2] for row in res.rows}) == [0, 1, 2]
 
 
-def test_sweep_records_a_failure_per_trial(monkeypatch):
-    """A cell whose trial fails records one failure per trial index, and
-    its batch-mates still write their rows; when every cell fails, the
-    sweep records them all and writes no rows."""
-    real = harness.simulate_trials
-    failing_cells = []
+def _poison_solve(monkeypatch, call, rows=...):
+    """Make solve number ``call`` (1-based) fail, for the batch rows
+    ``rows`` of its contacts."""
+    real = sim.solve_quasistatic_velocity
+    calls = []
 
-    def failing(trials, *args, **kwargs):
-        outcomes = real(trials, *args, **kwargs)
-        for i in failing_cells or range(len(trials)):
-            outcomes[i] = SolverError("cycle 0, step 3: force balance did "
-                                      "not converge", residual=1.0)
-        return outcomes
+    def poisoned(contacts, gm, robot, xi0=None):
+        calls.append(None)
+        if len(calls) == call:
+            contacts.normal[rows] = np.nan
+        return real(contacts, gm, robot, xi0)
 
-    monkeypatch.setattr(harness, "simulate_trials", failing)
+    monkeypatch.setattr(sim, "solve_quasistatic_velocity", poisoned)
+
+
+def test_sweep_raises_the_failing_cells_error(tmp_path, monkeypatch):
+    """A cell whose solve fails ends the sweep with its SolverError, which
+    names the cell's trial, phase, terrain, cycle and step; no file is
+    written."""
+    _poison_solve(monkeypatch, 2 * 3 + 2, rows=1)   # midpoint of step 3
     cfg = small_cfg(sweep_trials=3)
-    n_cells = len(cfg.depths) * len(cfg.phi_grid)
+    with pytest.raises(SolverError) as err:
+        harness.run_sweep(cfg, out_dir=tmp_path)
+    # cells run depth by depth: cell 1 is 0 mm at -pi/3
+    assert str(err.value) == (
+        "trial 1 (phi -1.0472, terrain constant-0.0mm), cycle 0, step 3 "
+        "(midpoint): force balance did not converge (residual nan)")
+    assert not os.listdir(tmp_path)
 
-    failing_cells.append(1)
-    res = harness.run_sweep(cfg)
-    bad = (cfg.depths[0], cfg.phi_grid[1])
-    assert [f[:3] for f in res.failures] == [bad + (t,) for t in range(3)]
-    assert all("cycle 0, step 3" in f[3] for f in res.failures)
-    assert len(res.rows) == (n_cells - 1) * 3 * cfg.sweep_cycles
-    assert bad not in res.cell_means and len(res.cell_means) == n_cells - 1
 
-    failing_cells.clear()
-    res = harness.run_sweep(cfg)
-    assert len(res.failures) == n_cells * 3
-    assert not res.rows and not res.cell_means
+@pytest.mark.parametrize("command", list(cli.RUNNERS))
+def test_cli_failing_trial_aborts_its_experiment(tmp_path, capsys,
+                                                 monkeypatch, command):
+    """Every experiment handles a failing trial alike: one ``error:`` line
+    naming its cycle and step, exit code 2, and no output file."""
+    _poison_solve(monkeypatch, 2 * 3 + 2)            # midpoint of step 3
+    out = tmp_path / "out"
+    code = cli.main([command, "--config", _ini_for_small(tmp_path),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "cycle 0, step 3 (midpoint): force balance did not converge" in err
+    assert "Traceback" not in err
+    assert not os.listdir(out)
 
 
 def test_sweep_rejects_empty_grid():

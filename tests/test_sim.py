@@ -387,9 +387,9 @@ def test_batch_mirror_is_shared_and_equals_solo():
         _assert_same_record(_solo(trial, 2, mirror=True), rec)
 
 
-def test_solver_failure_drops_only_its_own_trial(monkeypatch):
-    """A solve that fails for one trial of the batch ends that trial with a
-    SolverError naming its cycle and step; the others finish as if alone."""
+def test_solver_failure_ends_the_batch_naming_its_trial(monkeypatch):
+    """A solve that fails for one trial of the batch ends the whole batch at
+    that step with a SolverError naming the trial, its cycle and step."""
     real = sim.solve_quasistatic_velocity
     calls = []
 
@@ -400,37 +400,33 @@ def test_solver_failure_drops_only_its_own_trial(monkeypatch):
         return real(contacts, gm, robot, xi0)
 
     monkeypatch.setattr(sim, "solve_quasistatic_velocity", poisoned)
-    batch = simulate_trials(_mixed_trials()[:4], 3, **BATCH_KW)
-    monkeypatch.undo()
-    err = batch[2]
-    assert isinstance(err, SolverError) and np.isnan(err.residual)
-    assert str(err).startswith("cycle 1, step 7 (midpoint): force balance "
-                               "did not converge (residual nan)")
-    # the other three redid step 27 without it
-    assert calls[:2 * 27 + 2] == [4] * (2 * 27 + 2)
-    assert calls[2 * 27 + 2:] == [3] * 2 * (60 - 27)
-    for i in (0, 1, 3):
-        _assert_same_record(_solo(_mixed_trials()[i]), batch[i])
+    with pytest.raises(SolverError) as err:
+        simulate_trials(_mixed_trials()[:4], 3, **BATCH_KW)
+    assert np.isnan(err.value.residual)
+    assert str(err.value).startswith(
+        "trial 2 (phi 0, terrain constant-40.0mm), cycle 1, step 7 "
+        "(midpoint): force balance did not converge (residual nan)")
+    # no trial redid the step or went on without it
+    assert calls == [4] * (2 * 27 + 2)
 
 
-def test_degenerate_support_drops_only_its_own_trial():
-    """A trial left with no supporting contact ends with a
-    DegenerateSupportError naming its cycle and step, as it does alone; its
-    batch-mates, whose bellies carry the weight, finish as if alone."""
+def test_degenerate_support_ends_the_batch_naming_its_trial():
+    """A trial left with no supporting contact ends its batch with a
+    DegenerateSupportError: the trial's index, phase and terrain, then the
+    message it raises alone, which names its cycle and step."""
     robot = RobotModel(belly_weight_frac=0.0)
     flat = TerrainProfile.flat()
     trials = [Trial(-0.5, flat, rho_override=0.5),
               Trial(0.0, flat, rho_override=0.0),
               Trial(-0.5, TerrainProfile.constant(20.0))]
     kw = dict(params=HOP, robot=robot)
-    batch = simulate_trials(trials, 2, **{**BATCH_KW, **kw})
+    with pytest.raises(DegenerateSupportError) as batch_err:
+        simulate_trials(trials, 2, **{**BATCH_KW, **kw})
     with pytest.raises(DegenerateSupportError) as solo_err:
         _solo(trials[1], 2, **kw)
-    assert isinstance(batch[1], DegenerateSupportError)
-    assert str(batch[1]) == str(solo_err.value)
-    assert str(batch[1]).startswith("cycle 0, step ")
-    for i in (0, 2):
-        _assert_same_record(_solo(trials[i], 2, **kw), batch[i])
+    prefix = "trial 1 (phi 0, terrain flat), "
+    assert str(batch_err.value) == prefix + str(solo_err.value)
+    assert str(solo_err.value).startswith("cycle 0, step ")
 
 
 # ---------------------------------------------------------------------------
