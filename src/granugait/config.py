@@ -22,6 +22,11 @@ from .sim import STEPS_PER_CYCLE
 DEFAULT_PHI_GRID = (0.0, -math.pi / 12, -math.pi / 6, -math.pi / 4,
                     -math.pi / 3, -5 * math.pi / 12, -math.pi / 2)
 
+#: The solver's terms are products of at most three physical scales (SI
+#: units) and sums of a few dozen such products, so with every scale below
+#: this bound, and the divisors above its inverse, they stay finite.
+SOLVER_SCALE = 1e100
+
 
 @dataclass
 class RunConfig:
@@ -155,6 +160,24 @@ class RunConfig:
             self.gait(0.0)
         except ValueError as err:
             raise ConfigError(f"config value out of range: {err}") from err
+        # Scales the solver multiplies or divides by: the friction force on
+        # the weight, the stiffest Coulomb contact, the drag coefficient, the
+        # body length and the fastest joint-driven speed.
+        robot = self.robot()
+        force = self.friction * robot.weight
+        speed = self.amplitude * self.frequency * robot.body_length
+        for name, scale, lo in [
+            ("friction * mass * g", force, 1 / SOLVER_SCALE),
+            ("friction * mass * g / slip_eps", force / self.slip_eps, 0.0),
+            ("rft_perp", self.rft_perp, 0.0),
+            ("body length (4 * segment_length)", robot.body_length,
+             1 / SOLVER_SCALE),
+            ("amplitude * frequency * body length", speed, 0.0),
+        ]:
+            if not lo <= scale <= SOLVER_SCALE:
+                raise ConfigError(
+                    f"config value out of range: {name} = {scale:.3g} is "
+                    f"outside the solver's range [{lo:g}, {SOLVER_SCALE:g}]")
         # the KNN trains on half of the classify dataset
         train_size = (len(DEPTH_CLASSES) * len(self.phi_grid)
                       * self.classify_trials_per_cell * self.classify_cycles

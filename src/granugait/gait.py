@@ -143,12 +143,11 @@ class BodyWave:
     """
 
     def __init__(self, params: GaitParams, clamp_limit=BODY_JOINT_LIMIT,
-                 blend_frac=BLEND_FRAC, mirror=False):
+                 blend_frac=BLEND_FRAC):
         self.params = params
         self.phi = params.body_phase
         self.clamp_limit = clamp_limit
         self.blend_frac = blend_frac
-        self.mirror = mirror
         self.clamp_events = 0
         self._delta = np.zeros(3)
         self._blend_start_u = 0.0
@@ -185,9 +184,6 @@ class BodyWave:
         darg_du = 1.0 + offset_rates
         raw = g.amplitude * np.cos(arg)
         raw_rate = -g.amplitude * np.sin(arg) * darg_du * g.frequency
-        if self.mirror:
-            raw = -raw
-            raw_rate = -raw_rate
         if self.clamp_limit is None:
             return raw, raw_rate
         clamped = np.abs(raw) > self.clamp_limit

@@ -143,35 +143,28 @@ def _filtered(raw, cfg, y0=None):
 class OnlineLoadPipeline:
     """Streaming load pipeline for all three body joints.
 
-    Each step draws its raw sample as it comes; ``cycle_median`` filters a
-    finished cycle's block, carrying the filter state from the previous
-    cycle like a servo-side filter that never resets.  Cycles must be read
-    in order.
+    ``push_raw`` draws a block's raw samples as they come; ``cycle_median``
+    filters a finished cycle's raw block, carrying the filter state from
+    the previous cycle like a servo-side filter that never resets, so
+    cycles must be given in order.
     """
 
     def __init__(self, cfg: LoadPipelineConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng
         self._bias = _bias(cfg, rng)
-        self._raw = []
         self._y = None      # filter state after the last median's block
-        self._read = 0      # samples consumed by cycle_median
 
     def push_raw(self, tau):
         """Feed one timestep of nondimensional torques (3,), or a block of
         consecutive timesteps (m, 3); returns the noisy raw load samples.
         The generator draws the same noise either way."""
-        raw = _raw_loads(tau, self.cfg, self._bias, self.rng)
-        self._raw.extend(np.reshape(raw, (-1, 3)))
-        return raw
+        return _raw_loads(tau, self.cfg, self._bias, self.rng)
 
-    def cycle_median(self, lo, hi):
-        """Per-joint median of the processed samples ``lo:hi``."""
-        if lo != self._read:
-            raise ValueError(f"cycle starts at {lo}, not at {self._read}")
-        proc, self._y = _filtered(np.asarray(self._raw[lo:hi]), self.cfg,
-                                  self._y)
-        self._read = hi
+    def cycle_median(self, raw):
+        """Per-joint median of one cycle's processed samples, from its
+        (m, 3) block of raw samples."""
+        proc, self._y = _filtered(raw, self.cfg, self._y)
         return np.median(proc, axis=0)
 
 

@@ -13,7 +13,8 @@ Newton on it, with the quadratic drag share precomputed and no fallback.
 
 Independent trials advance in lock-step over a leading batch axis: every
 kernel below takes leading batch axes (``...``), and a single trial is the
-batch of shape ``()``, whose arrays are those of one trial alone.  A batch
+batch of shape ``()``, whose kernel arrays are those of one trial alone;
+the recorded arrays hold one row per trial in either case.  A batch
 shares one gait, and so one clock and one stance pattern; each trial keeps
 its own body phase offset.  Each kernel works trial by trial in the same
 arithmetic whatever the batch, so a trial's record does not depend on its
@@ -511,18 +512,6 @@ class Trial:
     rho_override: float | None = None
 
 
-class _Batch:
-    """Lock-step state of a batch: arrays with the batch's leading axes, and
-    per-trial lists in batch order."""
-
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
-
-    def rows(self, a):
-        """``a`` with its batch axes flattened into one, row i for trial i."""
-        return a.reshape((-1,) + a.shape[self.pose.ndim - 1:])
-
-
 def _trial_error(err, trials, shape, where):
     """The batch error ``err`` as the error of its first failing trial,
     prefixed by ``where`` and, in a batch, by that trial's index, phase
@@ -538,144 +527,126 @@ def _trial_error(err, trials, shape, where):
     return type(err)(f"{where}: {err}")
 
 
-def _wave_cycle(b, c, spc, dt):
-    """Joint angles and rates of every trial at each step of cycle ``c`` and
-    at its midpoint, interleaved: row 2j is step j, row 2j + 1 its midpoint.
-    A trial's wave changes only at cycle boundaries, so a cycle is known in
-    advance."""
-    t = np.arange(c * spc, (c + 1) * spc) * dt
-    times = np.stack([t, t + 0.5 * dt], axis=-1).reshape(-1)
-    angles, rates = [], []
-    for wave in b.waves:
-        a, r = wave.angles_and_rates(times)
-        angles.append(a)
-        rates.append(r)
-    shape = b.pose.shape[:-1] + (2 * spc, 3)
-    b.angles = np.reshape(angles, shape)
-    b.rates = np.reshape(rates, shape)
-
-
 def _integrate(trials, shape, params, n_cycles, robot, ground,
-               steps_per_cycle, mirror, clamp_limit, blend_frac):
+               steps_per_cycle, clamp_limit, blend_frac):
     """Advance ``trials`` in lock-step over leading batch ``shape`` (``()``
     for one trial alone), each at its own phase offset of the shared gait
     ``params``.  Returns one TrialRecord per trial; the first
     ``SolverError``/``DegenerateSupportError`` ends the batch (see
-    ``_trial_error``)."""
+    ``_trial_error``).
+
+    The kernel state (pose, warm-start twist, the cycle's joint angles and
+    rates) has the batch ``shape``; every record array has one row per
+    trial, into which a solo trial's kernel outputs broadcast.
+    """
     robot = robot or RobotModel()
     ground = ground or GroundModel()
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
-    if mirror:
-        # Reflection across the x-axis: leg attachments flip sides while
-        # keeping their stance timing, and the body wave negates.
-        robot = robot.mirrored()
     spc = steps_per_cycle
     n_steps = n_cycles * spc
+    n = len(trials)
     omega = params.frequency
     dt = TWO_PI / omega / spc
     terrains = [t.terrain for t in trials]
     overrides = [t.rho_override for t in trials]
+    waves = [BodyWave(replace(params, body_phase=t.phi),
+                      clamp_limit=clamp_limit, blend_frac=blend_frac)
+             for t in trials]
+    filts = [percept.OnlineLoadPipeline(
+        t.load_cfg or percept.LoadPipelineConfig(),
+        np.random.default_rng(t.seed)) for t in trials]
 
-    b = _Batch(
-        waves=[BodyWave(replace(params, body_phase=t.phi),
-                        clamp_limit=clamp_limit, blend_frac=blend_frac,
-                        mirror=mirror) for t in trials],
-        filts=[percept.OnlineLoadPipeline(
-            t.load_cfg or percept.LoadPipelineConfig(),
-            np.random.default_rng(t.seed)) for t in trials],
-        pose=np.broadcast_to(default_initial_pose(robot), shape + (3,)),
-        xi_prev=None,
-        max_residual=np.zeros(shape), max_power=np.full(shape, -np.inf),
-        times=np.empty(shape + (n_steps,)),
-        poses=np.empty(shape + (n_steps + 1, 3)),
-        centers=np.empty(shape + (n_steps + 1, 2)),
-        joint_angles=np.empty(shape + (n_steps, 3)),
-        torques=np.empty(shape + (n_steps, 3)),
-        loads=np.empty(shape + (n_steps, 3)),
-        cycle_median=np.empty(shape + (n_cycles, 3)),
-        cycle_phi=np.empty(shape + (n_cycles,)),
-    )
+    pose = np.broadcast_to(default_initial_pose(robot), shape + (3,))
+    xi_prev = None
+    max_residual, max_power = np.zeros(n), np.full(n, -np.inf)
+    poses = np.empty((n, n_steps + 1, 3))
+    centers = np.empty((n, n_steps + 1, 2))
+    joint_angles = np.empty((n, n_steps, 3))
+    torques = np.empty((n, n_steps, 3))
+    loads = np.empty((n, n_steps, 3))
+    cycle_median = np.empty((n, n_cycles, 3))
+    cycle_phi = np.empty((n, n_cycles))
 
     for k in range(n_steps):
         c, j = divmod(k, spc)
         if j == 0:
-            _wave_cycle(b, c, spc, dt)
+            # A wave changes only at cycle boundaries, so the whole cycle's
+            # angles and rates are known in advance: row 2j is step j, row
+            # 2j + 1 its midpoint.
+            ts = np.arange(k, k + spc) * dt
+            ts = np.stack([ts, ts + 0.5 * dt], axis=-1).reshape(-1)
+            angles, rates = zip(*(w.angles_and_rates(ts) for w in waves))
+            angles = np.reshape(angles, shape + (2 * spc, 3))
+            rates = np.reshape(rates, shape + (2 * spc, 3))
         t = k * dt
         where = f"cycle {c}, step {j}"
-        alphas = b.angles[..., 2 * j, :]
+        alphas = angles[..., 2 * j, :]
         try:
-            contacts = build_contacts(b.pose, alphas, b.rates[..., 2 * j, :],
+            contacts = build_contacts(pose, alphas, rates[..., 2 * j, :],
                                       (omega * t) % TWO_PI, params, robot,
                                       terrains, overrides)
-            xi, F, res, power = _balance(contacts, ground, robot, b.xi_prev)
+            xi, F, res, power = _balance(contacts, ground, robot, xi_prev)
 
             # Midpoint rule: re-balance at the half step so the pose update
             # is second-order accurate in dt.
             where += " (midpoint)"
             contacts_m = build_contacts(
-                b.pose + 0.5 * dt * xi, b.angles[..., 2 * j + 1, :],
-                b.rates[..., 2 * j + 1, :], (omega * (t + 0.5 * dt)) % TWO_PI,
+                pose + 0.5 * dt * xi, angles[..., 2 * j + 1, :],
+                rates[..., 2 * j + 1, :], (omega * (t + 0.5 * dt)) % TWO_PI,
                 params, robot, terrains, overrides)
             xi_m, _, res_m, power_m = _balance(contacts_m, ground, robot, xi)
         except (SolverError, DegenerateSupportError) as err:
             raise _trial_error(err, trials, shape, where) from err
 
-        b.times[..., k] = t
-        b.poses[..., k, :] = b.pose
-        b.centers[..., k, :] = contacts.center
-        b.joint_angles[..., k, :] = alphas
-        b.torques[..., k, :] = compute_joint_torques(contacts, F, robot)
-        b.max_residual = np.maximum(b.max_residual, np.maximum(res, res_m))
-        b.max_power = np.maximum(b.max_power, np.maximum(power, power_m))
-        b.pose = b.pose + dt * xi_m
-        b.xi_prev = xi_m
+        poses[:, k] = pose
+        centers[:, k] = contacts.center
+        joint_angles[:, k] = alphas
+        torques[:, k] = compute_joint_torques(contacts, F, robot)
+        max_residual = np.maximum(max_residual, np.maximum(res, res_m))
+        max_power = np.maximum(max_power, np.maximum(power, power_m))
+        pose = pose + dt * xi_m
+        xi_prev = xi_m
 
         if j == spc - 1:
             lo, hi = c * spc, k + 1
-            loads, torques = b.rows(b.loads), b.rows(b.torques)
-            medians, phis = b.rows(b.cycle_median), b.rows(b.cycle_phi)
-            for i, (trial, wave, filt) in enumerate(zip(trials, b.waves,
-                                                      b.filts)):
-                loads[i, lo:hi] = filt.push_raw(torques[i, lo:hi])
-                medians[i, c] = filt.cycle_median(lo, hi)
-                phis[i, c] = wave.phi
+            for i, (trial, wave, filt) in enumerate(zip(trials, waves, filts)):
+                raw = filt.push_raw(torques[i, lo:hi])
+                loads[i, lo:hi] = raw
+                cycle_median[i, c] = filt.cycle_median(raw)
+                cycle_phi[i, c] = wave.phi
                 if trial.controller is not None and c < n_cycles - 1:
-                    wave.set_phase(trial.controller(medians[i, c, 1]),
+                    wave.set_phase(trial.controller(cycle_median[i, c, 1]),
                                    omega * (t + dt))
 
-    alphas = np.reshape([w.angles_and_rates(n_steps * dt)[0]
-                         for w in b.waves], b.pose.shape)
-    b.poses[..., n_steps, :] = b.pose
-    b.centers[..., n_steps, :] = body_center(b.pose, alphas, robot)
-    speed = (b.centers[..., spc::spc, 0]
-             - b.centers[..., :n_steps:spc, 0]) / robot.body_length
+    alphas = np.reshape([w.angles_and_rates(n_steps * dt)[0] for w in waves],
+                        pose.shape)
+    poses[:, n_steps] = pose
+    centers[:, n_steps] = body_center(pose, alphas, robot)
+    speed = (centers[:, spc::spc, 0]
+             - centers[:, :n_steps:spc, 0]) / robot.body_length
     return [
         TrialRecord(
-            times=b.rows(b.times)[i], poses=b.rows(b.poses)[i],
-            centers=b.rows(b.centers)[i],
-            joint_angles=b.rows(b.joint_angles)[i],
-            torques=b.rows(b.torques)[i], loads=b.rows(b.loads)[i],
-            cycle_speed_blc=b.rows(speed)[i],
-            cycle_median_load=b.rows(b.cycle_median)[i],
-            cycle_phi=b.rows(b.cycle_phi)[i], steps_per_cycle=spc,
-            seed=trial.seed, max_residual=float(b.rows(b.max_residual)[i]),
-            max_power=float(b.rows(b.max_power)[i]),
-            clamp_events=wave.clamp_events,
+            times=np.arange(n_steps) * dt, poses=poses[i], centers=centers[i],
+            joint_angles=joint_angles[i], torques=torques[i], loads=loads[i],
+            cycle_speed_blc=speed[i], cycle_median_load=cycle_median[i],
+            cycle_phi=cycle_phi[i], steps_per_cycle=spc, seed=trial.seed,
+            max_residual=float(max_residual[i]),
+            max_power=float(max_power[i]), clamp_events=wave.clamp_events,
         )
-        for i, (trial, wave) in enumerate(zip(trials, b.waves))]
+        for i, (trial, wave) in enumerate(zip(trials, waves))]
 
 
 def simulate_trials(trials, n_cycles, params, robot=None, ground=None,
-                    steps_per_cycle=STEPS_PER_CYCLE, mirror=False,
+                    steps_per_cycle=STEPS_PER_CYCLE,
                     clamp_limit=BODY_JOINT_LIMIT, blend_frac=BLEND_FRAC):
     """Run independent ``Trial``s in lock-step, one batch axis over them.
 
     The gait ``params`` (and with it the clock), robot, ground, step count,
-    mirror, joint clamp and phase blend are shared; each trial runs the gait
-    at its own phase offset ``phi`` in place of ``params.body_phase``, and
-    keeps its own terrain, seed, generator, load pipeline, controller
-    (called at the shared cycle boundaries) and blend-ratio override.
+    joint clamp and phase blend are shared; each trial runs the gait at its
+    own phase offset ``phi`` in place of ``params.body_phase``, and keeps
+    its own terrain, seed, generator, load pipeline, controller (called at
+    the shared cycle boundaries) and blend-ratio override.
     Returns one TrialRecord per trial, in order, equal bit for bit to
     ``simulate_trial`` of that trial alone.  A failing trial ends the
     batch: its ``SolverError``/``DegenerateSupportError`` is raised, naming
@@ -683,12 +654,12 @@ def simulate_trials(trials, n_cycles, params, robot=None, ground=None,
     """
     trials = list(trials)
     return _integrate(trials, (len(trials),), params, n_cycles, robot, ground,
-                      steps_per_cycle, mirror, clamp_limit, blend_frac)
+                      steps_per_cycle, clamp_limit, blend_frac)
 
 
 def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
                    steps_per_cycle=STEPS_PER_CYCLE, controller=None,
-                   load_cfg=None, mirror=False, rho_override=None,
+                   load_cfg=None, rho_override=None,
                    clamp_limit=BODY_JOINT_LIMIT, blend_frac=BLEND_FRAC):
     """Run ``n_cycles`` gait cycles and record the full trial: the batch of
     ``simulate_trials`` of shape ``()``.
@@ -703,5 +674,5 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
     trial = Trial(params.body_phase, terrain, seed, controller, load_cfg,
                   rho_override)
     (rec,) = _integrate([trial], (), params, n_cycles, robot, ground,
-                        steps_per_cycle, mirror, clamp_limit, blend_frac)
+                        steps_per_cycle, clamp_limit, blend_frac)
     return rec

@@ -258,13 +258,3 @@ def test_bodywave_rejects_out_of_range_phase():
     wave = BodyWave(GaitParams())
     with pytest.raises(ValueError):
         wave.set_phase(0.3, 0.0)
-
-
-def test_bodywave_mirror_negates_angles():
-    g = GaitParams(body_phase=-math.pi / 6)
-    plain = BodyWave(g, clamp_limit=None)
-    mirrored = BodyWave(g, clamp_limit=None, mirror=True)
-    a, ra = plain.angles_and_rates(1.3)
-    b, rb = mirrored.angles_and_rates(1.3)
-    np.testing.assert_allclose(b, -a)
-    np.testing.assert_allclose(rb, -ra)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import granugait
-from granugait import cli, gait, harness, percept, sim
+from granugait import cli, gait, harness, model, percept, sim
 from granugait.config import RunConfig
+from granugait.control import ControllerParams
 from granugait.errors import ConfigError, SolverError
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(
@@ -106,6 +107,10 @@ def test_config_unparseable_value(tmp_path):
     # a repeated grid point would run its cell twice
     ("depths", (0.0, 40.0, 0.0)), ("phi_grid", (0.0, 0.0)),
     ("rho_grid", (0.5, 0.5)),
+    # finite, but the solver's terms would overflow
+    ("mass", 1e307), ("mass", 1e-310), ("friction", 1e-310),
+    ("slip_eps", 1e-200), ("rft_perp", 1e300), ("segment_length", 1e155),
+    ("amplitude", 1e300), ("frequency", 1e300),
 ])
 def test_config_validation_names_offending_key(key, value):
     cfg = RunConfig()
@@ -240,6 +245,24 @@ def test_cli_rejects_infinite_mass(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 2
     assert "mass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("robot", "mass", "1e307"), ("robot", "mass", "1e308"),
+    ("gait", "frequency", "1e300")])
+def test_cli_rejects_overflowing_config_without_running(tmp_path, capsys,
+                                                        section, key, value):
+    """Finite values whose solver terms overflow are rejected before any
+    trial runs (pytest turns a RuntimeWarning from a run into an error)."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{section}]\n{key} = {value}\n")
+    code = cli.main(["calibrate", "--config", str(bad),
+                     "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_echo_contains_every_key(tmp_path):
@@ -391,6 +414,24 @@ def test_perfbench_tracer_wraps_and_restores_its_entry_points():
     # calibration trial
     assert metrics["sim.solves"] == 2 * cfg.steps_per_cycle * (
         1 + cfg.sweep_cycles)
+
+
+def test_perfbench_check_defaults_are_the_component_defaults():
+    """perfbench/checks.py keeps its own copy of the robot, ground and
+    controller defaults, so that its checks stay independent of the
+    program; a default changed on one side only fails here."""
+    path = os.path.join(os.path.dirname(CONFIGS), "perfbench", "checks.py")
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    components = [model.RobotModel(), model.GroundModel(),
+                  ControllerParams()]
+    for key, value in checks.DEFAULTS.items():
+        owners = [c for c in components if hasattr(c, key)]
+        assert len(owners) == 1, key
+        assert getattr(owners[0], key) == value, key
+    assert checks.GRAVITY == model.GRAVITY
+    assert checks.N_SEGMENTS == model.RobotModel().n_segments
 
 
 def test_model_torque_row_count(tmp_path):

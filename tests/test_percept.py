@@ -115,10 +115,9 @@ def test_online_and_offline_pipelines_agree():
         for bias in (None, (4.0, -2.5, 1.0)):
             cfg = LoadPipelineConfig(order=order, bias=bias)
             online = OnlineLoadPipeline(cfg, np.random.default_rng(77))
-            for tau in torques:
-                online.push_raw(tau)
-            med_online = np.stack([online.cycle_median(c * 50, (c + 1) * 50)
-                                   for c in range(4)])
+            raw = np.stack([online.push_raw(tau) for tau in torques])
+            med_online = np.stack([online.cycle_median(block)
+                                   for block in np.split(raw, 4)])
             med_offline = trial_cycle_medians(torques, 50, cfg,
                                               np.random.default_rng(77))
             np.testing.assert_array_equal(med_online, med_offline)
@@ -130,12 +129,10 @@ PLAIN = LoadPipelineConfig(gain=100.0, noise_cov=0.0, alpha=1.0)
 
 def test_cycle_median_conventions():
     online = OnlineLoadPipeline(PLAIN, np.random.default_rng(0))
-    for x in (1.0, 2, 3, 4, 5, 1, 2, 3, 4):
-        online.push_raw(np.full(3, x / 100.0))
-    with pytest.raises(ValueError):    # cycles are read in order
-        online.cycle_median(5, 9)
-    np.testing.assert_allclose(online.cycle_median(0, 5), 3.0)
-    np.testing.assert_allclose(online.cycle_median(5, 9), 2.5)
+    raw = np.stack([online.push_raw(np.full(3, x / 100.0))
+                    for x in (1.0, 2, 3, 4, 5, 1, 2, 3, 4)])
+    np.testing.assert_allclose(online.cycle_median(raw[:5]), 3.0)
+    np.testing.assert_allclose(online.cycle_median(raw[5:]), 2.5)
 
 
 @given(st.lists(st.floats(min_value=-1, max_value=1), min_size=3,

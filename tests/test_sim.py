@@ -12,7 +12,8 @@ from granugait import harness, sim
 from granugait.config import RunConfig
 from granugait.control import ControllerParams, PhaseController
 from granugait.errors import DegenerateSupportError, SolverError
-from granugait.gait import TWO_PI, GaitParams, LegId, leg_contact_fraction
+from granugait.gait import (TWO_PI, BodyWave, GaitParams, LegId,
+                            leg_contact_fraction)
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.percept import LoadPipelineConfig
 from granugait.sim import (
@@ -30,10 +31,26 @@ def _params(phi, stance_offset=-math.pi / 4):
 
 
 def _run(phi=-math.pi / 3, depth=40.0, n_cycles=2, seed=7,
-         steps_per_cycle=100, **kw):
+         steps_per_cycle=100, robot=ROBOT, **kw):
     return simulate_trial(_params(phi), TerrainProfile.constant(depth),
-                          n_cycles=n_cycles, seed=seed, robot=ROBOT,
+                          n_cycles=n_cycles, seed=seed, robot=robot,
                           ground=GROUND, steps_per_cycle=steps_per_cycle, **kw)
+
+
+class _MirroredWave(BodyWave):
+    """The body wave reflected across the x-axis: angles and rates negate."""
+
+    def angles_and_rates(self, t_abs):
+        angles, rates = super().angles_and_rates(t_abs)
+        return -angles, -rates
+
+
+def _mirror(monkeypatch):
+    """Reflect later runs across the x-axis: ``sim`` drives them with the
+    negated body wave, and the returned robot has its leg attachments on
+    the other side, with their stance timing kept."""
+    monkeypatch.setattr(sim, "BodyWave", _MirroredWave)
+    return ROBOT.mirrored()
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +275,13 @@ def test_numerical_hygiene_flags():
 
 
 def test_non_finite_forces_raise_solver_error():
-    """mass = 1e308 passes validation but overflows the weight; the solver
-    must reject the NaN residual instead of reporting a converged trial."""
-    cfg = RunConfig(mass=1e308)
-    cfg.validate()
+    """A robot of mass 1e308 (which ``RunConfig.validate`` rejects) has an
+    infinite weight; the solver must reject the NaN residual instead of
+    reporting a converged trial."""
     with np.errstate(all="ignore"), pytest.raises(SolverError):
         simulate_trial(_params(-math.pi / 3), TerrainProfile.constant(40.0),
-                       n_cycles=1, robot=cfg.robot(), ground=GROUND,
-                       steps_per_cycle=20)
+                       n_cycles=1, robot=RobotModel(mass=1e308),
+                       ground=GROUND, steps_per_cycle=20)
 
 
 def test_timestep_convergence():
@@ -276,12 +292,12 @@ def test_timestep_convergence():
     assert abs(dx_base - dx_fine) < 0.01 * abs(dx_fine)
 
 
-def test_mirror_symmetry():
+def test_mirror_symmetry(monkeypatch):
     """Mirroring the robot and gait negates lateral drift and yaw while
     preserving forward progress."""
     kw = dict(n_cycles=2, load_cfg=NOISEFREE)
     plain = _run(**kw)
-    mirrored = _run(mirror=True, **kw)
+    mirrored = _run(robot=_mirror(monkeypatch), **kw)
     dp = plain.centers[-1] - plain.centers[0]
     dm = mirrored.centers[-1] - mirrored.centers[0]
     assert dm[0] == pytest.approx(dp[0], abs=1e-6)
@@ -380,11 +396,12 @@ def test_batch_of_one_equals_simulate_trial():
         _assert_same_record(_solo(_mixed_trials()[i]), rec)
 
 
-def test_batch_mirror_is_shared_and_equals_solo():
-    trials = _mixed_trials()[:3]
-    batch = simulate_trials(trials, 2, mirror=True, **BATCH_KW)
+def test_batch_mirror_is_shared_and_equals_solo(monkeypatch):
+    robot = _mirror(monkeypatch)
+    batch = simulate_trials(_mixed_trials()[:3], 2,
+                            **{**BATCH_KW, "robot": robot})
     for trial, rec in zip(_mixed_trials()[:3], batch):
-        _assert_same_record(_solo(trial, 2, mirror=True), rec)
+        _assert_same_record(_solo(trial, 2, robot=robot), rec)
 
 
 def test_solver_failure_ends_the_batch_naming_its_trial(monkeypatch):
