@@ -214,6 +214,8 @@ class DepthClassifier:
     k: int
     mean: np.ndarray       # (2,)
     scale: np.ndarray      # (2,)
+    by_load: np.ndarray    # (n,) training indices in ascending standardized
+                           # tau_m, ties in training order
 
 
 def knn_train(data, k):
@@ -233,12 +235,19 @@ def knn_train(data, k):
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
-    return DepthClassifier((X - mean) / scale, y, k, mean, scale)
+    Z = (X - mean) / scale
+    return DepthClassifier(Z, y, k, mean, scale,
+                           np.argsort(Z[:, 0], kind="stable"))
 
 
-#: Queries per (chunk, n) distance block.  Larger blocks barely run faster
-#: but raise peak memory: 64 rows cost about 6 MiB more than 4.
-KNN_CHUNK = 4
+#: First window: the KNN_WINDOW training points nearest each query in
+#: standardized load (k of them if k is larger).  KNN_CHUNK queries share a
+#: block at that width and a widened pass takes proportionally fewer, so a
+#: block's (queries, window) arrays hold at most KNN_CHUNK * KNN_WINDOW
+#: entries, or one query's window over all the points.  Larger blocks run
+#: barely faster but raise peak memory.
+KNN_WINDOW = 32
+KNN_CHUNK = 128
 
 
 def knn_classify(c, tau_m, phi):
@@ -248,6 +257,14 @@ def knn_classify(c, tau_m, phi):
     the tied class of the nearest neighbor.  Scalar ``tau_m``, ``phi`` give
     an ``int``; 1-D arrays give an array of labels, equal element by
     element to scalar calls.
+
+    The search is exact but reads only a window of the training points
+    sorted by standardized load, around each query's own load.  A point
+    outside the window is at least its load difference squared away, and
+    that bound grows with distance from the window; once both points just
+    outside exceed the window's k-th distance, the window holds every
+    neighbor and every tie.  Otherwise the window widens fourfold, up to
+    all the points.
     """
     tau, phi = np.asarray(tau_m, dtype=float), np.asarray(phi, dtype=float)
     if tau.ndim > 1 or tau.shape != phi.shape:
@@ -258,30 +275,51 @@ def knn_classify(c, tau_m, phi):
     if not np.isfinite(q).all():
         raise ValueError("KNN queries must be finite")
     classes = np.array(DEPTH_CLASSES)
-    label_idx = np.searchsorted(classes, c.labels)
-    f0, f1 = c.features[:, 0], c.features[:, 1]
-    k = c.k
+    n, k = len(c.labels), c.k
+    f0, f1 = c.features[c.by_load].T
+    label_idx = np.searchsorted(classes, c.labels)[c.by_load]
+    # Sorted loads with a sentinel at each end, whose bound is infinite.
+    edges = np.concatenate([[-np.inf], f0, [np.inf]])
+    pos = np.searchsorted(f0, q[:, 0])
     out = np.empty(len(q), dtype=int)
-    for lo in range(0, len(q), KNN_CHUNK):
-        qc = q[lo:lo + KNN_CHUNK]
-        d2 = f0 - qc[:, :1]
-        d2 *= d2
-        d1 = f1 - qc[:, 1:]
-        d1 *= d1
-        d2 += d1      # (f0 - q0)**2 + (f1 - q1)**2, in place
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        # Candidates at or below the k-th distance, ordered by (query,
-        # distance, training index); the first k of each query are its
-        # neighbors, nearest first.
-        rows, cols = np.nonzero(d2 <= kth)
-        order = np.lexsort((cols, d2[rows, cols], rows))
-        starts = np.searchsorted(rows, np.arange(len(qc)))
-        top = label_idx[cols[order[starts[:, None] + np.arange(k)]]]
-        counts = (top[:, :, None] == np.arange(len(classes))).sum(axis=1)
-        tied = counts == counts.max(axis=1, keepdims=True)
-        # The first neighbor whose class has the most votes wins.
-        first = np.take_along_axis(tied, top, axis=1).argmax(axis=1)
-        out[lo:lo + KNN_CHUNK] = classes[top[np.arange(len(qc)), first]]
+    todo = np.arange(len(q))
+    width = min(max(KNN_WINDOW, k), n)
+    while todo.size:
+        step = max(1, KNN_CHUNK * KNN_WINDOW // width)
+        wider = []
+        for lo in range(0, len(todo), step):
+            block = todo[lo:lo + step]
+            q0, q1 = q[block, :1], q[block, 1:]
+            start = np.clip(pos[block] - width // 2, 0, n - width)
+            win = start[:, None] + np.arange(width)
+            d2 = f0[win] - q0
+            d2 *= d2
+            d1 = f1[win] - q1
+            d1 *= d1
+            d2 += d1      # (f0 - q0)**2 + (f1 - q1)**2, in place
+            kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+            # The nearest load outside the window on either side bounds
+            # the distance of every point beyond it.
+            left = edges[start, None] - q0
+            right = edges[start + width + 1, None] - q0
+            done = ((left * left > kth) & (right * right > kth))[:, 0]
+            done |= width == n      # even where distances overflow to inf
+            # Candidates at or below the k-th distance, ordered by (query,
+            # distance, training index); the first k of each query are its
+            # neighbors, nearest first.
+            rows, cols = np.nonzero(d2 <= kth)
+            pick = win[rows, cols]
+            order = np.lexsort((c.by_load[pick], d2[rows, cols], rows))
+            starts = np.searchsorted(rows, np.arange(len(block)))
+            top = label_idx[pick[order[starts[:, None] + np.arange(k)]]]
+            counts = (top[:, :, None] == np.arange(len(classes))).sum(axis=1)
+            tied = counts == counts.max(axis=1, keepdims=True)
+            # The first neighbor whose class has the most votes wins.
+            first = np.take_along_axis(tied, top, axis=1).argmax(axis=1)
+            out[block[done]] = classes[top[done, first[done]]]
+            wider.append(block[~done])
+        todo = np.concatenate(wider)
+        width = min(4 * width, n)
     return int(out[0]) if tau.ndim == 0 else out
 
 
@@ -313,16 +351,3 @@ def write_dataset(path, rows):
         w.writerow(DATASET_COLUMNS)
         for joint, phi, tau_m, depth, trial, cycle in rows:
             w.writerow([joint, f"{phi:.9f}", f"{tau_m:.9f}", depth, trial, cycle])
-
-
-def read_dataset(path):
-    rows = []
-    with open(path, newline="") as fh:
-        r = csv.DictReader(fh)
-        if tuple(r.fieldnames) != DATASET_COLUMNS:
-            raise ValueError(f"unexpected dataset columns {r.fieldnames}")
-        for rec in r:
-            rows.append((rec["joint"], float(rec["phi_rad"]),
-                         float(rec["tau_m_pct"]), int(rec["depth_mm"]),
-                         int(rec["trial_id"]), int(rec["cycle_id"])))
-    return rows

@@ -51,6 +51,22 @@ def _per_trial(x, n):
     return list(x) if isinstance(x, (list, tuple)) else [x] * n
 
 
+def _blend_groups(terrain, rho_override, n):
+    """The ``n`` trials grouped by where their belly blend ratios come
+    from: ``{source: rows}``, with one entry per distinct terrain object,
+    whose ratios come from one depth lookup over all its trials, and one
+    per distinct blend-ratio override.  A run of consecutive trials is a
+    slice, so its rows are read and written in place."""
+    groups = {}
+    for i, (ground, fixed) in enumerate(zip(_per_trial(terrain, n),
+                                            _per_trial(rho_override, n))):
+        groups.setdefault(ground if fixed is None else float(fixed),
+                          []).append(i)
+    return {source: slice(rows[0], rows[-1] + 1)
+            if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows)
+            for source, rows in groups.items()}
+
+
 #: ``r[..., ::-1] * _ROT90`` turns vectors (x, y) into (-y, x).
 _ROT90 = np.array([-1.0, 1.0])
 
@@ -167,8 +183,9 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
 
     A batch shares ``cycle_phase`` and the gait ``params``, so its feet are
     in stance together; ``terrain`` and ``rho_override`` are lists with one
-    entry per trial (or one value shared by all).  A
-    ``DegenerateSupportError`` marks the trials it concerns in ``failed``.
+    entry per trial (or one value shared by all), or ``terrain`` is the
+    batch's ``_blend_groups``, made once.  A ``DegenerateSupportError``
+    marks the trials it concerns in ``failed``.
     """
     _, cs, seg_start = _frames(pose, alphas, robot)
     joints = seg_start[..., 1:, :]
@@ -184,13 +201,13 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     rho = np.zeros(batch + (len(seg),))
     belly_rho = rho[..., :n_belly].reshape(n_trials, n_belly)   # a view
     belly_x = pos[..., :n_belly, 0].reshape(n_trials, n_belly)
-    for i, (ground, fixed) in enumerate(zip(_per_trial(terrain, n_trials),
-                                            _per_trial(rho_override,
-                                                       n_trials))):
-        if fixed is None:
-            belly_rho[i] = blend_ratio(ground.depth_at(belly_x[i]))
+    if not isinstance(terrain, dict):
+        terrain = _blend_groups(terrain, rho_override, n_trials)
+    for source, rows in terrain.items():
+        if isinstance(source, TerrainProfile):
+            belly_rho[rows] = blend_ratio(source.depth_at(belly_x[rows]))
         else:
-            belly_rho[i] = float(fixed)
+            belly_rho[rows] = source
 
     # Local support: element i carries (W/n_belly)*(bf + rho_i*(1-f_gm-bf)),
     # so the belly bears bf*W on rigid ground and (1-f_gm)*W fully immersed.
@@ -548,8 +565,8 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
     n = len(trials)
     omega = params.frequency
     dt = TWO_PI / omega / spc
-    terrains = [t.terrain for t in trials]
-    overrides = [t.rho_override for t in trials]
+    blend = _blend_groups([t.terrain for t in trials],
+                          [t.rho_override for t in trials], n)
     waves = [BodyWave(replace(params, body_phase=t.phi),
                       clamp_limit=clamp_limit, blend_frac=blend_frac)
              for t in trials]
@@ -585,7 +602,7 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
         try:
             contacts = build_contacts(pose, alphas, rates[..., 2 * j, :],
                                       (omega * t) % TWO_PI, params, robot,
-                                      terrains, overrides)
+                                      blend)
             xi, F, res, power = _balance(contacts, ground, robot, xi_prev)
 
             # Midpoint rule: re-balance at the half step so the pose update
@@ -594,7 +611,7 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
             contacts_m = build_contacts(
                 pose + 0.5 * dt * xi, angles[..., 2 * j + 1, :],
                 rates[..., 2 * j + 1, :], (omega * (t + 0.5 * dt)) % TWO_PI,
-                params, robot, terrains, overrides)
+                params, robot, blend)
             xi_m, _, res_m, power_m = _balance(contacts_m, ground, robot, xi)
         except (SolverError, DegenerateSupportError) as err:
             raise _trial_error(err, trials, shape, where) from err

@@ -1,16 +1,19 @@
 """Load pipeline and KNN depth-classification tests."""
 
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from granugait import percept
 from granugait.percept import (
-    DEPTH_CLASSES, LOWPASS_THEN_RECTIFY, LabeledFeature, LoadPipelineConfig,
-    OnlineLoadPipeline, RECTIFY_THEN_LOWPASS, add_sensor_noise, evaluate,
-    knn_classify, knn_train, lowpass, read_dataset, rectify, torque_to_load,
-    trial_cycle_medians, write_dataset,
+    DATASET_COLUMNS, DEPTH_CLASSES, LOWPASS_THEN_RECTIFY, LabeledFeature,
+    LoadPipelineConfig, OnlineLoadPipeline, RECTIFY_THEN_LOWPASS,
+    add_sensor_noise, evaluate, knn_classify, knn_train, lowpass, rectify,
+    torque_to_load, trial_cycle_medians, write_dataset,
 )
 
 
@@ -317,6 +320,100 @@ def test_knn_array_equals_scalar_calls_and_oracle_on_ties(k):
         got, [knn_classify(clf, float(t), float(p)) for t, p in zip(tau, phi)])
 
 
+@st.composite
+def _knn_cases(draw):
+    """A small training set with repeated loads, few or all-distinct phases
+    and every depth class, any k, random queries, and a first window and
+    block small enough that searches widen and blocks split."""
+    n = draw(st.integers(3, 60))
+    if draw(st.booleans()):
+        taus = st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0])
+    else:
+        taus = st.floats(-50, 150)
+    if draw(st.booleans()):
+        phis = st.sampled_from([0.0, -math.pi / 6, -math.pi / 3])
+    else:
+        phis = st.floats(-math.pi / 2, 0)
+    labels = list(DEPTH_CLASSES) + draw(st.lists(
+        st.sampled_from(DEPTH_CLASSES), min_size=n - 3, max_size=n - 3))
+    data = [LabeledFeature(draw(taus), draw(phis), label)
+            for label in draw(st.permutations(labels))]
+    k = draw(st.integers(1, n))
+    queries = draw(st.lists(st.tuples(taus, phis), min_size=1, max_size=12))
+    queries += [(f.tau_m, f.phi) for f in data[:3]]
+    window = draw(st.sampled_from([1, 2, 5, percept.KNN_WINDOW]))
+    chunk = draw(st.integers(1, 8))
+    return data, k, queries, window, chunk
+
+
+@settings(max_examples=150, deadline=None)
+@given(_knn_cases())
+def test_knn_equals_brute_force_oracle_on_random_datasets(case):
+    data, k, queries, window, chunk = case
+    clf = knn_train(data, k)
+    tau, phi = np.array(queries).T
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(percept, "KNN_WINDOW", window)
+        mp.setattr(percept, "KNN_CHUNK", chunk)
+        got = knn_classify(clf, tau, phi)
+        scalar = [knn_classify(clf, t, p) for t, p in queries]
+    want = [_brute_force_knn(data, k, t, p, clf.mean, clf.scale)
+            for t, p in queries]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, scalar)
+
+
+def test_knn_widens_past_a_tie_at_the_first_window_edge():
+    # 40 identical points at load -1, level with the query in phase: the
+    # first window around the query's load holds only the last 16 of them,
+    # so its k-th distance ties with the point just outside it on the left
+    # (the points at load 1.5 on the right are further).  The true
+    # neighbors are the 3 earliest in training order, all 40 mm, outside
+    # the first window; the window's own 3 are 0 mm.
+    run = [LabeledFeature(-1.0, 0.0, 40 if i < 3 else 0) for i in range(40)]
+    right = [LabeledFeature(1.5, -math.pi / 2, 20) for _ in range(30)]
+    data, k = run + right, 3
+    clf = knn_train(data, k)
+    q = (np.array([0.0, 0.0]) - clf.mean) / clf.scale
+    d2 = ((clf.features - q) ** 2).sum(axis=1)
+    assert d2[:40].max() == d2[:40].min() < d2[40:].min()
+    pos = np.searchsorted(clf.features[clf.by_load, 0], q[0])
+    half = percept.KNN_WINDOW // 2
+    first_window = clf.by_load[pos - half:pos + half]
+    assert 0 < pos - half and not set(range(k)) & set(first_window)
+    assert _brute_force_knn(data, k, 0.0, 0.0, clf.mean, clf.scale) == 40
+    assert knn_classify(clf, 0.0, 0.0) == 40
+    np.testing.assert_array_equal(knn_classify(clf, [0.0] * 5, [0.0] * 5),
+                                  [40] * 5)
+
+
+def test_knn_temporaries_stay_small():
+    """A 3000-point, 3000-query pass allocates under 1 MiB at a time: its
+    blocks, not the whole query set, size its temporaries."""
+    data = _toy_dataset(n_per_class=1000, spread=8.0)
+    clf = knn_train(data, 6)
+    rng = np.random.default_rng(8)
+    tau = rng.uniform(-10, 70, 3000)
+    phi = rng.uniform(-math.pi / 2, 0, 3000)
+    tracemalloc.start()
+    try:
+        knn_classify(clf, tau, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
+def test_knn_query_whose_distances_overflow_still_ends():
+    """Every distance overflows to inf, so no window passes the stopping
+    test; the full window ends the search, with the oracle's answer."""
+    data = _toy_dataset()
+    clf = knn_train(data, 6)
+    with np.errstate(over="ignore"):
+        want = _brute_force_knn(data, 6, 1e200, -0.5, clf.mean, clf.scale)
+        assert knn_classify(clf, 1e200, -0.5) == want
+
+
 def test_knn_scalar_query_returns_int():
     clf = knn_train(_toy_dataset(), 6)
     assert type(knn_classify(clf, 30.0, -0.5)) is int
@@ -397,8 +494,12 @@ def test_dataset_csv_round_trip(tmp_path):
     rows = [("lower", -0.5, 31.25, 20, 0, 3), ("tail", 0.0, 4.0, 0, 1, 0)]
     path = tmp_path / "dataset.csv"
     write_dataset(path, rows)
-    back = read_dataset(path)
-    assert back[0][0] == "lower"
-    assert back[0][1] == pytest.approx(-0.5)
-    assert back[0][3:] == (20, 0, 3)
-    assert back[1][0] == "tail"
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        back = list(reader)
+    assert tuple(reader.fieldnames) == DATASET_COLUMNS
+    assert [rec["joint"] for rec in back] == ["lower", "tail"]
+    assert [float(rec["phi_rad"]) for rec in back] == [-0.5, 0.0]
+    assert [float(rec["tau_m_pct"]) for rec in back] == [31.25, 4.0]
+    assert [tuple(int(rec[c]) for c in DATASET_COLUMNS[3:]) for rec in back] \
+        == [(20, 0, 3), (0, 1, 0)]

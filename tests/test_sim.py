@@ -390,6 +390,39 @@ def test_batch_equals_solo_runs_bit_for_bit():
     assert min(rec.clamp_events for rec in batch) > 0
 
 
+def test_batch_looks_up_each_shared_terrain_once_per_half_step(monkeypatch):
+    """Trials on one terrain object share its depth lookup, whether they sit
+    side by side in the batch or apart; a blend-ratio override needs none.
+    Each still equals its solo run bit for bit."""
+    deep, ramp = TerrainProfile.constant(40.0), TerrainProfile.ramp(0.02, 0.45)
+    flat = TerrainProfile.flat()
+    trials = [Trial(-math.pi / 6, deep, seed=1), Trial(0.0, deep, seed=2),
+              Trial(-math.pi / 3, ramp, seed=3),
+              Trial(0.0, flat, rho_override=0.5),
+              Trial(-math.pi / 4, ramp, seed=4),
+              Trial(-math.pi / 6, flat, rho_override=0.5)]
+    lookups, half_steps = [], []
+    depth_at, build = TerrainProfile.depth_at, sim.build_contacts
+
+    def counted_depth_at(terrain, x):
+        lookups.append((terrain, np.shape(x)))
+        return depth_at(terrain, x)
+
+    def counted_build(*args):
+        half_steps.append(len(lookups))
+        return build(*args)
+
+    monkeypatch.setattr(TerrainProfile, "depth_at", counted_depth_at)
+    monkeypatch.setattr(sim, "build_contacts", counted_build)
+    batch = simulate_trials(trials, 2, **BATCH_KW)
+    monkeypatch.undo()
+    assert len(half_steps) == 2 * 2 * BATCH_KW["steps_per_cycle"]
+    assert lookups == [(deep, (2, N_BELLY)), (ramp, (2, N_BELLY))] * len(
+        half_steps)
+    for trial, rec in zip(trials, batch):
+        _assert_same_record(_solo(trial, 2), rec)
+
+
 def test_batch_of_one_equals_simulate_trial():
     for i in (1, 8):
         (rec,) = simulate_trials([_mixed_trials()[i]], 3, **BATCH_KW)
