@@ -242,10 +242,11 @@ def knn_train(data, k):
 
 #: First window: the KNN_WINDOW training points nearest each query in
 #: standardized load (k of them if k is larger).  KNN_CHUNK queries share a
-#: block at that width and a widened pass takes proportionally fewer, so a
-#: block's (queries, window) arrays hold at most KNN_CHUNK * KNN_WINDOW
-#: entries, or one query's window over all the points.  Larger blocks run
-#: barely faster but raise peak memory.
+#: block at that width and a widened pass takes proportionally fewer, down
+#: to 4 queries, so a block's (queries, window) arrays hold at most
+#: max(KNN_CHUNK * KNN_WINDOW, 4 n) entries for n training points: at full
+#: width, the brute-force scan's 4 queries.  Larger blocks run barely faster
+#: but raise peak memory.
 KNN_WINDOW = 32
 KNN_CHUNK = 128
 
@@ -285,7 +286,7 @@ def knn_classify(c, tau_m, phi):
     todo = np.arange(len(q))
     width = min(max(KNN_WINDOW, k), n)
     while todo.size:
-        step = max(1, KNN_CHUNK * KNN_WINDOW // width)
+        step = max(4, KNN_CHUNK * KNN_WINDOW // width)
         wider = []
         for lo in range(0, len(todo), step):
             block = todo[lo:lo + step]

@@ -45,26 +45,18 @@ ARMIJO_C1 = 1e-4         # sufficient-decrease fraction of the Armijo test
 STEPS_PER_CYCLE = 100    # integration steps per gait cycle
 
 
-def _per_trial(x, n):
-    """``x`` as a list of ``n`` per-trial values: a list or tuple is one
-    value per trial; anything else is shared by all."""
-    return list(x) if isinstance(x, (list, tuple)) else [x] * n
-
-
-def _blend_groups(terrain, rho_override, n):
-    """The ``n`` trials grouped by where their belly blend ratios come
-    from: ``{source: rows}``, with one entry per distinct terrain object,
-    whose ratios come from one depth lookup over all its trials, and one
-    per distinct blend-ratio override.  A run of consecutive trials is a
-    slice, so its rows are read and written in place."""
+def blend_groups(terrains, overrides):
+    """Trials grouped by where their belly blend ratios come from, given
+    one terrain and one blend-ratio override (or None) per trial:
+    ``{source: rows}``, with one entry per distinct terrain object, whose
+    ratios come from one depth lookup over its rows, and one per distinct
+    override."""
     groups = {}
-    for i, (ground, fixed) in enumerate(zip(_per_trial(terrain, n),
-                                            _per_trial(rho_override, n))):
+    for i, (ground, fixed) in enumerate(zip(terrains, overrides,
+                                            strict=True)):
         groups.setdefault(ground if fixed is None else float(fixed),
                           []).append(i)
-    return {source: slice(rows[0], rows[-1] + 1)
-            if rows[-1] - rows[0] == len(rows) - 1 else np.array(rows)
-            for source, rows in groups.items()}
+    return {source: np.array(rows) for source, rows in groups.items()}
 
 
 #: ``r[..., ::-1] * _ROT90`` turns vectors (x, y) into (-y, x).
@@ -166,7 +158,7 @@ class ContactSet:
 
 
 def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
-                   terrain, rho_override=None):
+                   blend):
     """Assemble contact geometry, blend weights, and normal loads.
 
     Every contact of ``_layout(robot)`` is present at every instant: the
@@ -182,10 +174,9 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     load (and hence thrust) from the feet still on rigid ground.
 
     A batch shares ``cycle_phase`` and the gait ``params``, so its feet are
-    in stance together; ``terrain`` and ``rho_override`` are lists with one
-    entry per trial (or one value shared by all), or ``terrain`` is the
-    batch's ``_blend_groups``, made once.  A ``DegenerateSupportError``
-    marks the trials it concerns in ``failed``.
+    in stance together; ``blend`` is the ``blend_groups`` of its trials,
+    made once per batch.  A ``DegenerateSupportError`` marks the trials it
+    concerns in ``failed``.
     """
     _, cs, seg_start = _frames(pose, alphas, robot)
     joints = seg_start[..., 1:, :]
@@ -201,9 +192,7 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     rho = np.zeros(batch + (len(seg),))
     belly_rho = rho[..., :n_belly].reshape(n_trials, n_belly)   # a view
     belly_x = pos[..., :n_belly, 0].reshape(n_trials, n_belly)
-    if not isinstance(terrain, dict):
-        terrain = _blend_groups(terrain, rho_override, n_trials)
-    for source, rows in terrain.items():
+    for source, rows in blend.items():
         if isinstance(source, TerrainProfile):
             belly_rho[rows] = blend_ratio(source.depth_at(belly_x[rows]))
         else:
@@ -565,8 +554,8 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
     n = len(trials)
     omega = params.frequency
     dt = TWO_PI / omega / spc
-    blend = _blend_groups([t.terrain for t in trials],
-                          [t.rho_override for t in trials], n)
+    blend = blend_groups([t.terrain for t in trials],
+                         [t.rho_override for t in trials])
     waves = [BodyWave(replace(params, body_phase=t.phi),
                       clamp_limit=clamp_limit, blend_frac=blend_frac)
              for t in trials]

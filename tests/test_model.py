@@ -15,7 +15,8 @@ from granugait.gait import GaitParams, LegId
 from granugait.model import (GRAVITY, GroundModel, RobotModel, TerrainProfile,
                              blend_ratio)
 from granugait.percept import LoadPipelineConfig
-from granugait.sim import ContactSet, build_contacts, contact_forces
+from granugait.sim import (ContactSet, blend_groups, build_contacts,
+                           contact_forces)
 
 GM = GroundModel(rft_par=1.5, rft_perp=3.75, slip_eps=1e-4)
 
@@ -69,7 +70,7 @@ def test_belly_contacts_take_the_depth_blend():
     robot = RobotModel()
     ramp = TerrainProfile.ramp(-0.3, 0.6)      # 5 to 35 mm under the body
     c = build_contacts(np.array([0.225, 0.0, 0.0]), np.zeros(3), np.zeros(3),
-                       0.5, GaitParams(), robot, ramp)
+                       0.5, GaitParams(), robot, blend_groups([ramp], [None]))
     n_belly = robot.n_segments * robot.belly_elements_per_segment
     belly = c.rho[:n_belly]
     np.testing.assert_array_equal(

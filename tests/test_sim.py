@@ -17,8 +17,8 @@ from granugait.gait import (TWO_PI, BodyWave, GaitParams, LegId,
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.percept import LoadPipelineConfig
 from granugait.sim import (
-    ContactSet, JOINT_NAMES, Trial, build_contacts, chain_frames,
-    compute_joint_torques, simulate_trial, simulate_trials,
+    ContactSet, JOINT_NAMES, Trial, blend_groups, build_contacts,
+    chain_frames, compute_joint_torques, simulate_trial, simulate_trials,
 )
 
 ROBOT = RobotModel()
@@ -28,6 +28,11 @@ NOISEFREE = LoadPipelineConfig(noise_cov=0.0)
 
 def _params(phi, stance_offset=-math.pi / 4):
     return GaitParams(body_phase=phi, stance_offset=stance_offset)
+
+
+def _on(terrain, rho_override=None):
+    """The blend groups of one trial on ``terrain``."""
+    return blend_groups([terrain], [rho_override])
 
 
 def _run(phi=-math.pi / 3, depth=40.0, n_cycles=2, seed=7,
@@ -68,7 +73,7 @@ def test_zero_forces_zero_torques():
     pose = np.array([0.45, 0.0, 0.0])
     alphas = np.zeros(3)
     c = build_contacts(pose, alphas, np.zeros(3), 0.1, _params(0.0), ROBOT,
-                       TerrainProfile.flat())
+                       _on(TerrainProfile.flat()))
     tau = compute_joint_torques(c, np.zeros_like(c.pos), ROBOT)
     np.testing.assert_allclose(tau, 0.0)
 
@@ -108,7 +113,7 @@ def test_swing_feet_stay_in_the_layout_at_zero_load():
 
     def contacts(cycle_phase):
         return build_contacts(pose, alphas, np.zeros(3), cycle_phase, params,
-                              ROBOT, TerrainProfile.constant(20.0))
+                              ROBOT, _on(TerrainProfile.constant(20.0)))
 
     first = contacts(0.0)
     for cycle_phase in np.linspace(0.0, TWO_PI, 24, endpoint=False):
@@ -130,7 +135,7 @@ def test_feet_below_the_stance_threshold_carry_exactly_zero_load():
     s = [leg_contact_fraction(leg, cycle_phase, params) for leg in LegId]
     assert 0.0 < sum(s) <= 1e-12
     c = build_contacts(np.array([0.225, 0.0, 0.0]), np.zeros(3), np.zeros(3),
-                       cycle_phase, params, ROBOT, TerrainProfile.flat())
+                       cycle_phase, params, ROBOT, _on(TerrainProfile.flat()))
     assert np.all(c.normal[N_BELLY:] == 0.0)
     assert c.normal[:N_BELLY].sum() == pytest.approx(ROBOT.weight, rel=1e-12)
 
@@ -167,18 +172,18 @@ def test_no_foot_in_stance_fails_only_the_unsupported_trials(monkeypatch):
     monkeypatch.setattr(sim, "leg_contact_fraction", counted)
     with pytest.raises(DegenerateSupportError) as err:
         build_contacts(pose, alphas, rates, cycle_phase, HOP, robot,
-                       terrains, overrides)
+                       blend_groups(terrains, overrides))
     assert len(calls) == len(LegId)
     np.testing.assert_array_equal(err.value.failed,
                                   [False, True, False, True])
 
     keep = [0, 2]
     c = build_contacts(pose[keep], alphas[keep], rates[keep], cycle_phase,
-                       HOP, robot, [terrains[i] for i in keep],
-                       [overrides[i] for i in keep])
+                       HOP, robot, blend_groups([terrains[i] for i in keep],
+                                                [overrides[i] for i in keep]))
     for row, i in enumerate(keep):
         solo = build_contacts(pose[i], alphas[i], rates[i], cycle_phase, HOP,
-                              robot, terrains[i], overrides[i])
+                              robot, _on(terrains[i], overrides[i]))
         for name, value in vars(solo).items():
             if name != "seg":
                 np.testing.assert_array_equal(getattr(c, name)[row], value,
@@ -210,7 +215,7 @@ def test_shape_velocity_and_torques_obey_virtual_work(
 
     def contacts(a):
         return build_contacts(pose, a, rates, cycle_phase, _params(-0.5),
-                              robot, TerrainProfile.flat())
+                              robot, _on(TerrainProfile.flat()))
 
     c = contacts(alphas)
     h = 1e-6

@@ -10,8 +10,8 @@ from granugait.errors import DegenerateSupportError
 from granugait.gait import TWO_PI, GaitParams
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.sim import (
-    RESIDUAL_TOL, _Dissipation, _newton_steps, _residual, build_contacts,
-    solve_quasistatic_velocity,
+    RESIDUAL_TOL, _Dissipation, _newton_steps, _residual, blend_groups,
+    build_contacts, solve_quasistatic_velocity,
 )
 
 ROBOT = RobotModel()
@@ -31,7 +31,8 @@ def _contacts(phi=-math.pi / 3, cycle_phase=0.7, terrain=DEEP,
     pose = np.array([0.225, 0.0, 0.05])
     return build_contacts(pose, np.asarray(alphas, float),
                           np.asarray(alpha_rates, float), cycle_phase,
-                          params, robot, terrain, rho_override)
+                          params, robot,
+                          blend_groups([terrain], [rho_override]))
 
 
 def _grid_oracle(contacts, gm, robot, box_v=0.5, box_w=2.0, n=50, center=None):
