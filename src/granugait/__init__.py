@@ -4,8 +4,7 @@ lizard-like quadruped on granular media of varying depth."""
 __version__ = "0.1.0"
 
 from .gait import (  # noqa: F401
-    BodyWave, GaitParams, LegId, body_joint_angle, body_joint_rate,
-    optimal_phase_for_depth,
+    BodyWave, GaitParams, LegId, optimal_phase_for_depth,
 )
 from .model import (  # noqa: F401
     GroundModel, RobotModel, TerrainProfile, blend_ratio,

@@ -199,7 +199,9 @@ class RunConfig:
              and all(0 <= r <= 1 for r in self.rho_grid)),
             ("sweep_trials", self.sweep_trials >= 1),
             ("sweep_cycles", self.sweep_cycles >= 1),
-            ("classify_trials_per_cell", self.classify_trials_per_cell >= 2),
+            # a virtual trial's index is one 32-bit word of its seed
+            ("classify_trials_per_cell",
+             2 <= self.classify_trials_per_cell <= 2**32),
             ("classify_cycles", self.classify_cycles >= 1),
             ("knn_k", 1 <= self.knn_k <= train_size),
             ("closedloop_cycles", self.closedloop_cycles >= 1),

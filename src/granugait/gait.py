@@ -63,31 +63,9 @@ class GaitParams:
             raise ValueError(f"ramp_frac must lie in [0, 0.5), got {self.ramp_frac}")
 
 
-def _check_joint(n):
-    if n not in (1, 2, 3):
-        raise ValueError(f"body joint index must be 1, 2 or 3, got {n}")
-
-
 def _check_cycle_phase(t):
     if not 0 <= t < TWO_PI:
         raise ValueError(f"cycle phase must lie in [0, 2*pi), got {t}")
-
-
-def body_joint_angle(n, t, g):
-    """Commanded angle of body joint ``n`` at cycle phase ``t`` (radians).
-
-    ``t`` is the wrapped phase ``omega * time`` in [0, 2*pi).
-    """
-    _check_joint(n)
-    _check_cycle_phase(t)
-    return g.amplitude * math.cos(t + (n - 1) * g.body_phase)
-
-
-def body_joint_rate(n, t, g):
-    """Analytic time derivative of body_joint_angle (rad/s)."""
-    _check_joint(n)
-    _check_cycle_phase(t)
-    return -g.amplitude * g.frequency * math.sin(t + (n - 1) * g.body_phase)
 
 
 def _stance_start(leg, g):

@@ -24,9 +24,109 @@ from .sim import JOINT_NAMES, Trial, simulate_trial, simulate_trials
 TRANSITION_MODES = ("adaptive", "fixed_phi_0", "fixed_phi_-pi/3")
 
 
+# numpy's SeedSequence hash (bit_generator.pyx), over many entropy rows at
+# once.  NEP 19 keeps SeedSequence and PCG64 streams stable across numpy
+# releases, so these constants fix every sub-seed and noise draw.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
+
+
+def _words(*ints):
+    """The entropy words of ``SeedSequence(list(ints))``: each int split into
+    little-endian 32-bit words, 0 giving one zero word."""
+    words = []
+    for n in ints:
+        n = int(n)
+        if n < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {n}")
+        words.append(n & _MASK32)
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+    return words
+
+
+def _hash_pool(entropy):
+    """SeedSequence's entropy pool for each row of the (m, L) uint32
+    ``entropy``: a list of ``_POOL_SIZE`` (m,) uint32 columns."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * _MULT_A) & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    m, n_words = entropy.shape
+    zero = np.zeros(m, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n_words else zero)
+            for i in range(_POOL_SIZE)]
+    # Mix all bits together so late bits can affect earlier bits.
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, n_words):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+    return pool
+
+
+def _generate_state(pool, n_words):
+    """``SeedSequence.generate_state(n_words)`` (uint32) for each pool row:
+    an (m, n_words) uint32 array."""
+    const = _INIT_B
+    out = np.empty((len(pool[0]), n_words), dtype=np.uint32)
+    for i in range(n_words):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = (const * _MULT_B) & _MASK32
+        value = value * const
+        out[:, i] = value ^ (value >> 16)
+    return out
+
+
 def _subseed(master, *idx):
-    ss = np.random.SeedSequence([int(master)] + [int(i) for i in idx])
-    return int(ss.generate_state(1)[0])
+    """``SeedSequence([master, *idx]).generate_state(1)[0]`` as an int."""
+    entropy = np.array([_words(master, *idx)], dtype=np.uint32)
+    return int(_generate_state(_hash_pool(entropy), 1)[0, 0])
+
+
+def _trial_rngs(n, master, *idx):
+    """The generators ``np.random.default_rng(_subseed(master, *idx, t))``
+    of trials t = 0 .. n-1, seeded in one vectorized pass.
+
+    Yields one Generator, re-seeded in place for each trial, so a trial's
+    draws must all be taken before the next one is asked for.  The trial
+    index is one entropy word, so ``n`` may be at most 2**32.
+    """
+    prefix = _words(master, *idx)
+    entropy = np.empty((n, len(prefix) + 1), dtype=np.uint32)
+    entropy[:, :-1] = prefix
+    entropy[:, -1] = np.arange(n)
+    subseeds = _generate_state(_hash_pool(entropy), 1)
+    # default_rng(s) seeds PCG64 from generate_state(4, uint64) of
+    # SeedSequence(s), whose entropy is the one word s < 2**32.
+    w = _generate_state(_hash_pool(subseeds), 8).astype(np.uint64)
+    w = (w[:, 0::2] | (w[:, 1::2] << 32)).tolist()
+    rng = np.random.default_rng(0)
+    bit_gen = rng.bit_generator
+    for w0, w1, w2, w3 in w:
+        inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
+        state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _fmt(x):
@@ -218,7 +318,7 @@ def generate_feature_dataset(cfg: RunConfig):
     simulated once noise-free, all cells in one lock-step batch, and its
     virtual trials differ only in the seeded sensor-noise draw applied to
     the recorded torques; one load pipeline call processes all of a cell's
-    virtual trials.
+    virtual trials, whose generators are seeded in one pass.
     """
     features = {name: [] for name in JOINT_NAMES}
     rows = []
@@ -230,8 +330,7 @@ def generate_feature_dataset(cfg: RunConfig):
         cfg, [Trial(phi, terrains[depth], load_cfg=cfg.load_cfg(noise_cov=0.0))
               for _, depth, _, phi in cells], cfg.classify_cycles)
     for (di, depth, pi, phi), rec in zip(cells, records):
-        rngs = (np.random.default_rng(_subseed(cfg.seed, 100, di, pi, trial))
-                for trial in range(cfg.classify_trials_per_cell))
+        rngs = _trial_rngs(cfg.classify_trials_per_cell, cfg.seed, 100, di, pi)
         medians = percept.trial_cycle_medians(
             rec.torques, cfg.steps_per_cycle, cfg.load_cfg(), rngs)
         for trial, trial_medians in enumerate(medians.tolist()):

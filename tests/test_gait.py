@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from granugait.gait import (
     BODY_JOINT_LIMIT, TWO_PI, BodyWave, DIAGONAL_PAIR_A, DIAGONAL_PAIR_B,
-    GaitParams, LegId, body_joint_angle, body_joint_rate,
-    leg_contact_fraction, optimal_phase_for_depth,
+    GaitParams, LegId, leg_contact_fraction, optimal_phase_for_depth,
 )
 
 PHI_GRID = [0.0, -math.pi / 12, -math.pi / 6, -math.pi / 4, -math.pi / 3,
@@ -20,85 +19,78 @@ cycle_phases = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
 
 
 # ---------------------------------------------------------------------------
-# body_joint_angle / body_joint_rate
+# BodyWave.angles_and_rates: the commanded wave, unclamped
+
+def _wave(phi, t, **gait):
+    """Unclamped (angles, rates) of body phase ``phi`` at time ``t``."""
+    wave = BodyWave(GaitParams(body_phase=phi, **gait), clamp_limit=None)
+    return wave.angles_and_rates(t)
+
 
 def test_joint1_at_zero_phase_equals_amplitude():
-    g = GaitParams(body_phase=-math.pi / 3)
-    assert body_joint_angle(1, 0.0, g) == pytest.approx(1.0)
+    angles, _ = _wave(-math.pi / 3, 0.0)
+    assert angles[0] == pytest.approx(1.0)
 
 
 def test_joint2_at_zero_phase_sees_one_phase_lag():
-    g = GaitParams(body_phase=-math.pi / 3)
-    assert body_joint_angle(2, 0.0, g) == pytest.approx(0.5)
+    angles, _ = _wave(-math.pi / 3, 0.0)
+    assert angles[1] == pytest.approx(0.5)
 
 
 def test_standing_wave_all_joints_equal():
-    g = GaitParams(body_phase=0.0)
-    assert body_joint_angle(3, math.pi / 2, g) == pytest.approx(0.0, abs=1e-12)
-    for t in np.linspace(0, TWO_PI, 40, endpoint=False):
-        a = [body_joint_angle(n, t, g) for n in (1, 2, 3)]
-        assert a[0] == pytest.approx(a[1]) == pytest.approx(a[2])
+    angles, _ = _wave(0.0, math.pi / 2)
+    assert angles[2] == pytest.approx(0.0, abs=1e-12)
+    a, _ = _wave(0.0, np.linspace(0, TWO_PI, 40, endpoint=False))
+    np.testing.assert_allclose(a[:, 0], a[:, 1])
+    np.testing.assert_allclose(a[:, 0], a[:, 2])
 
 
-@given(phis, cycle_phases, st.integers(min_value=1, max_value=3))
-def test_angle_bounded_by_amplitude(phi, t, n):
-    g = GaitParams(body_phase=phi)
-    assert abs(body_joint_angle(n, t, g)) <= g.amplitude + 1e-12
+@given(phis, cycle_phases, st.floats(min_value=0.1, max_value=2.0))
+def test_angle_bounded_by_amplitude(phi, t, amplitude):
+    angles, _ = _wave(phi, t, amplitude=amplitude)
+    assert np.all(np.abs(angles) <= amplitude + 1e-12)
 
 
-@given(phis, cycle_phases, st.integers(min_value=1, max_value=3))
-def test_angle_periodic(phi, t, n):
-    g = GaitParams(body_phase=phi)
-    a = body_joint_angle(n, t, g)
-    b = body_joint_angle(n, (t + TWO_PI) % TWO_PI, g)
-    assert a == pytest.approx(b, abs=1e-12)
+@given(phis, cycle_phases)
+def test_angle_periodic(phi, t):
+    a, _ = _wave(phi, t)
+    b, _ = _wave(phi, t + TWO_PI)
+    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 @given(phis, cycle_phases)
 def test_traveling_wave_lead(phi, t):
     """Joint n leads joint n+1 by |phi|: alpha_{n+1}(t) = alpha_n(t + phi)."""
-    g = GaitParams(body_phase=phi)
-    for n in (1, 2):
-        tt = (t + phi) % TWO_PI
-        if tt >= TWO_PI:    # float modulo can round up to the excluded bound
-            tt -= TWO_PI
-        lagged = body_joint_angle(n, tt, g)
-        assert body_joint_angle(n + 1, t, g) == pytest.approx(lagged, abs=1e-12)
+    now, _ = _wave(phi, t)
+    lagged, _ = _wave(phi, t + phi)
+    np.testing.assert_allclose(now[1:], lagged[:2], atol=1e-12)
 
 
 def test_rate_examples():
-    g = GaitParams(body_phase=-math.pi / 3)
-    assert body_joint_rate(1, 0.0, g) == pytest.approx(0.0)
-    g0 = GaitParams(body_phase=0.0)
-    assert body_joint_rate(1, math.pi / 2, g0) == pytest.approx(-1.0)
-    gh = GaitParams(body_phase=-math.pi / 2)
-    assert body_joint_rate(2, 0.0, gh) == pytest.approx(1.0)
+    _, rates = _wave(-math.pi / 3, 0.0)
+    assert rates[0] == pytest.approx(0.0)
+    _, rates = _wave(0.0, math.pi / 2)
+    assert rates[0] == pytest.approx(-1.0)
+    _, rates = _wave(-math.pi / 2, 0.0)
+    assert rates[1] == pytest.approx(1.0)
+    _, rates = _wave(0.0, math.pi / 4, frequency=2.0)
+    assert rates[0] == pytest.approx(-2.0)
 
 
-@given(phis, st.floats(min_value=0.01, max_value=TWO_PI - 0.01),
-       st.integers(min_value=1, max_value=3))
-def test_rate_matches_finite_difference(phi, t, n):
-    g = GaitParams(body_phase=phi)
+@given(phis, st.floats(min_value=0.01, max_value=TWO_PI - 0.01))
+def test_rate_matches_finite_difference(phi, t):
     h = 1e-5
-    fd = (body_joint_angle(n, t + h, g) - body_joint_angle(n, t - h, g)) / (2 * h)
-    assert body_joint_rate(n, t, g) == pytest.approx(fd, abs=1e-6)
-
-
-@pytest.mark.parametrize("n", [0, 4, -1])
-def test_invalid_joint_index_rejected(n):
-    g = GaitParams()
-    with pytest.raises(ValueError):
-        body_joint_angle(n, 0.0, g)
-    with pytest.raises(ValueError):
-        body_joint_rate(n, 0.0, g)
+    (ahead, _), (behind, _) = _wave(phi, t + h), _wave(phi, t - h)
+    _, rates = _wave(phi, t)
+    np.testing.assert_allclose(rates, (ahead - behind) / (2 * h), atol=1e-6)
 
 
 def test_out_of_range_cycle_phase_rejected():
     g = GaitParams()
     with pytest.raises(ValueError):
-        body_joint_angle(1, TWO_PI, g)
+        leg_contact_fraction(LegId.LF, TWO_PI, g)
     with pytest.raises(ValueError):
-        body_joint_angle(1, -0.1, g)
+        leg_contact_fraction(LegId.LF, -0.1, g)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +217,10 @@ def test_bodywave_matches_pure_cosine_unclamped():
         angles, rates = wave.angles_and_rates(t)
         u = (g.frequency * t) % TWO_PI
         for n in (1, 2, 3):
-            assert angles[n - 1] == pytest.approx(body_joint_angle(n, u, g))
-            assert rates[n - 1] == pytest.approx(body_joint_rate(n, u, g))
+            arg = u + (n - 1) * g.body_phase
+            assert angles[n - 1] == pytest.approx(g.amplitude * math.cos(arg))
+            assert rates[n - 1] == pytest.approx(
+                -g.amplitude * g.frequency * math.sin(arg))
 
 
 def test_bodywave_clamps_to_hardware_limit():
@@ -251,7 +245,8 @@ def test_bodywave_phase_switch_is_continuous():
     late, _ = wave.angles_and_rates((g.frequency * t_switch + 0.2 * TWO_PI)
                                     / g.frequency)
     for n in (1, 2, 3):
-        assert late[n - 1] == pytest.approx(body_joint_angle(n, late_u, g_new))
+        assert late[n - 1] == pytest.approx(
+            g_new.amplitude * math.cos(late_u + (n - 1) * g_new.body_phase))
 
 
 def test_bodywave_rejects_out_of_range_phase():

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import granugait
 from granugait import cli, gait, harness, model, percept, sim
@@ -111,6 +112,8 @@ def test_config_unparseable_value(tmp_path):
     ("mass", 1e307), ("mass", 1e-310), ("friction", 1e-310),
     ("slip_eps", 1e-200), ("rft_perp", 1e300), ("segment_length", 1e155),
     ("amplitude", 1e300), ("frequency", 1e300),
+    # a virtual trial's index is one 32-bit word of its seed
+    ("classify_trials_per_cell", 2**32 + 1),
 ])
 def test_config_validation_names_offending_key(key, value):
     cfg = RunConfig()
@@ -491,6 +494,56 @@ def test_session_bias_shared_and_seeded():
 def test_subseed_deterministic_and_distinct():
     assert harness._subseed(1, 2, 3) == harness._subseed(1, 2, 3)
     assert harness._subseed(1, 2, 3) != harness._subseed(1, 3, 2)
+
+
+@pytest.mark.parametrize("entropy, subseed", [
+    ((12345, 100, 0, 0, 0), 3300683279), ((12345, 9999), 4110949668),
+    ((0,), 2968811710), ((2**64 + 5, 400, 2), 1594923272),
+    ((2**32 - 1, 100, 2, 6, 299), 665524075)])
+def test_subseed_literal_values(entropy, subseed):
+    """Pinned values of the hash every seeded stream starts from."""
+    assert harness._subseed(*entropy) == subseed
+
+
+def _oracle_subseed(*entropy):
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1)[0])
+
+
+# masters of one, two and three 32-bit words
+MASTERS = [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from(MASTERS), st.integers(0, 2**96)),
+       st.lists(st.integers(0, 2**40), max_size=6),
+       st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_trial_rngs_match_default_rng_bit_for_bit(master, prefix, n, last):
+    """The vectorized seeding reproduces numpy's SeedSequence and PCG64
+    seeding exactly, and the scalar sub-seed is its one-row case."""
+    assert (harness._subseed(master, *prefix, last)
+            == _oracle_subseed(master, *prefix, last))
+    trials = 0
+    for t, rng in enumerate(harness._trial_rngs(n, master, *prefix)):
+        oracle = np.random.default_rng(_oracle_subseed(master, *prefix, t))
+        np.testing.assert_array_equal(rng.uniform(-1.0, 1.0, 3),
+                                      oracle.uniform(-1.0, 1.0, 3))
+        np.testing.assert_array_equal(rng.standard_normal(7),
+                                      oracle.standard_normal(7))
+        trials += 1
+    assert trials == n
+
+
+def test_trial_cycle_medians_over_trial_rngs_equals_fresh_generators():
+    """The re-seeded generator, consumed one trial at a time by the load
+    pipeline, gives the medians of one fresh generator per trial."""
+    cfg = RunConfig().load_cfg()
+    torques = 0.3 * np.random.default_rng(8).standard_normal((60, 3))
+    fresh = [np.random.default_rng(harness._subseed(7, 100, 1, 2, t))
+             for t in range(25)]
+    np.testing.assert_array_equal(
+        percept.trial_cycle_medians(torques, 20, cfg,
+                                    harness._trial_rngs(25, 7, 100, 1, 2)),
+        percept.trial_cycle_medians(torques, 20, cfg, fresh))
 
 
 # ---------------------------------------------------------------------------
