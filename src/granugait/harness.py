@@ -117,10 +117,10 @@ def _trial_rngs(n, master, *idx):
     # default_rng(s) seeds PCG64 from generate_state(4, uint64) of
     # SeedSequence(s), whose entropy is the one word s < 2**32.
     w = _generate_state(_hash_pool(subseeds), 8).astype(np.uint64)
-    w = (w[:, 0::2] | (w[:, 1::2] << 32)).tolist()
+    seeds = (w[:, 0::2] | (w[:, 1::2] << 32)).tolist()
     rng = np.random.default_rng(0)
     bit_gen = rng.bit_generator
-    for w0, w1, w2, w3 in w:
+    for w0, w1, w2, w3 in seeds:
         inc = ((((w2 << 64) | w3) << 1) | 1) & _MASK128
         state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
         bit_gen.state = {"bit_generator": "PCG64",
