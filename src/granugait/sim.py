@@ -307,6 +307,14 @@ def _outer(u, v):
     return out
 
 
+# feat @ _BTB is each contact's B^T B = [[1, 0, -ry], [0, 1, rx],
+# [-ry, rx, rx^2 + ry^2]], flattened.  Each column sums at most two exact
+# terms, so every summation order gives the same entry.
+_BTB = np.zeros((6, 9))
+_BTB[[0, 0, 1, 1, 3, 4], [0, 4, 5, 7, 8, 8]] = 1.0
+_BTB[2, [2, 6]] = -1.0
+
+
 class _Dissipation:
     """Dissipation potential Psi(xi) of one contact set.
 
@@ -314,17 +322,20 @@ class _Dissipation:
     Coulomb share and rho v.D.v / 2 over the drag share, whose minus
     velocity gradients are the two force laws of ``contact_forces``.  The
     drag share is quadratic in the twist, so it is folded once into
-    ``0.5 xi.K.xi + k0.xi + c0``; an evaluation then visits only the
-    contacts with rho < 1 in some trial of the batch, and a trial's other
-    contacts among them get Coulomb weight 0.  The gradient and Hessian sum
-    contact by contact, so those zeros leave them exactly as for the trial
-    alone; Psi itself (a BLAS dot, which only decides Armijo steps) can
-    round differently in its last bit when the zeros precede the trial's
-    own contacts.
+    ``0.5 xi.K.xi + k0.xi + c0``.
+
+    The Coulomb share runs over every contact of ``_layout(robot)`` as
+    contiguous per-component rows: the velocities are one ``(..., 2n)`` row
+    per trial, x components then y components, ``map @ xi + w``, and a
+    contact with rho = 1 weighs 0.  Its column set is the layout's, not the
+    batch's, so each trial's sums have the same length and order alone or
+    in any batch, and Psi, its gradient and its Hessian equal the trial's
+    own bit for bit.
     """
 
     def __init__(self, c, gm, mu):
         r = c.pos - c.ref[..., None, :]
+        batch, n = r.shape[:-2], r.shape[-2]
         # columns 1, rx, ry, rx^2, ry^2, rx*ry
         feat = np.concatenate([np.ones_like(r[..., :1]), r, r * r,
                                r[..., :1] * r[..., 1:]], axis=-1)
@@ -338,36 +349,41 @@ class _Dissipation:
         self.k0 = _pull_back(dw, r)
         self.c0 = 0.5 * (dw * w).reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
 
-        own = c.rho < 1.0
-        coulomb = own.reshape(-1, own.shape[-1]).any(axis=0)
-        self.m = np.where(own, (1.0 - c.rho) * mu * c.normal, 0.0)[..., coulomb]
-        self.r = r[..., coulomb, :]
-        self.lever = self.r[..., ::-1] * _ROT90
-        self.w = w[..., coulomb, :]
-        self.feat = feat[..., coulomb, :]
+        # Rows of B_i = [[1, 0, -ry], [0, 1, rx]]: x rows, then y rows.
+        self.map = np.zeros(batch + (2, n, 3))
+        self.map[..., 0, :, 0] = self.map[..., 1, :, 1] = 1.0
+        self.map[..., 0, :, 2] = -r[..., 1]
+        self.map[..., 1, :, 2] = r[..., 0]
+        self.map = self.map.reshape(batch + (2 * n, 3))
+        self.w = w.mT.reshape(batch + (2 * n,))
+        self.btb = feat @ _BTB
+        self.m = (1.0 - c.rho) * mu * c.normal
+        self.n = n
         self.eps = gm.slip_eps
 
     def value(self, xi):
-        """Psi(xi), plus the Coulomb contacts' velocities and speeds."""
-        v = self.w + xi[..., None, :2] + xi[..., None, 2:] * self.lever
-        s = np.hypot(v[..., 0], v[..., 1])
+        """Psi(xi), plus the velocity rows and the contact speeds."""
+        v = np.matvec(self.map, xi) + self.w
+        s = np.hypot(v[..., :self.n], v[..., self.n:])
         psi = np.vecdot(self.m, s - self.eps * np.log1p(s / self.eps))
         quad = np.vecdot(xi, 0.5 * np.matvec(self.K, xi) + self.k0)
         return psi + quad + self.c0, v, s
 
     def derivatives(self, xi, v, s):
-        """Gradient and Hessian of Psi at ``xi``, from ``value(xi)``'s v, s."""
+        """Gradient and Hessian of Psi at ``xi``, from ``value(xi)``'s v, s.
+
+        With u_i = B_i^T v_i, k = m/(s + eps) and c = k/((s + eps) s), 0 at
+        s = 0, the Coulomb share adds sum k_i u_i to the gradient and
+        sum k_i B_i^T B_i - c_i u_i u_i^T to the Hessian.
+        """
         se = s + self.eps
         k = self.m / se
-        grad = (np.matvec(self.K, xi) + self.k0
-                + _pull_back(k[..., None] * v, self.r))
-        # Coulomb block k (I - (s/se) e e^T) with e = v/|v|, bounded at s = 0.
-        e = np.divide(v, s[..., None], out=np.zeros_like(v),
-                      where=s[..., None] > 0)
-        ks = k * s / se
-        blocks = -_outer(ks[..., None] * e, e)
-        blocks[..., ::2] += k[..., None]
-        return grad, self.K + _assemble(blocks.mT, self.feat)
+        c = np.divide(k, se * s, out=np.zeros_like(s), where=s > 0)
+        uv = self.map * v[..., None]
+        u = uv[..., :self.n, :] + uv[..., self.n:, :]
+        grad = np.matvec(self.K, xi) + self.k0 + np.vecmat(k, u)
+        hess = np.vecmat(k, self.btb).reshape(grad.shape + (3,))
+        return grad, self.K + hess - (u * c[..., None]).mT @ u
 
 
 def _newton_steps(hess, grad):
@@ -432,14 +448,13 @@ def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
                    else np.where(pending, 0.5 * lam, lam))
             trial = xi + lam[..., None] * step
         if any(pending.flat) or not everyone:
-            # Trials without sufficient decrease stop where they are.
+            # Trials without sufficient decrease stop where they are; a
+            # stopped trial's psi, v and s feed only rows its flag masks.
             active = active & ~pending
             xi = np.where(active[..., None], trial, xi)
-            psi = np.where(active, psi_t, psi)[()]
-            v = np.where(active[..., None, None], v_t, v)
-            s = np.where(active[..., None], s_t, s)
         else:
-            xi, psi, v, s = trial, psi_t, v_t, s_t
+            xi = trial
+        psi, v, s = psi_t, v_t, s_t
 
     res, F, v = _residual(xi, contacts, gm, robot)
     worst = np.abs(res).max(axis=-1)

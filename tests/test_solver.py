@@ -1,5 +1,6 @@
 """Quasi-static force-balance solver tests, including a brute-force oracle."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,8 +11,8 @@ from granugait.errors import DegenerateSupportError
 from granugait.gait import TWO_PI, GaitParams
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.sim import (
-    RESIDUAL_TOL, _Dissipation, _newton_steps, _residual, blend_groups,
-    build_contacts, solve_quasistatic_velocity,
+    RESIDUAL_TOL, ContactSet, _Dissipation, _newton_steps, _residual,
+    blend_groups, build_contacts, solve_quasistatic_velocity,
 )
 
 ROBOT = RobotModel()
@@ -165,6 +166,64 @@ def test_analytic_hessian_matches_finite_difference():
             assert RES_SCALE[col] * grad[col] == pytest.approx(
                 RES_SCALE[col] * (psi_p - psi_m) / (2 * h), rel=1e-4,
                 abs=1e-6)
+
+
+def test_batched_potential_equals_each_trial_alone_bit_for_bit():
+    """Psi, its gradient and its Hessian of each trial in a mixed batch
+    (flat, 20 mm, 40 mm and a blend-ratio override of 0.5) equal those of
+    the trial alone, bit for bit: every trial's Coulomb sums run over the
+    same contacts in the same order, whatever its batch-mates."""
+    specs = [(FLAT, None, 0.3), (MID, None, 1.9), (DEEP, None, 3.5),
+             (FLAT, 0.5, 5.2)]
+    solo = [_contacts(terrain=terrain, rho_override=rho, cycle_phase=phase,
+                      alphas=(0.2 - 0.1 * i, -0.1, 0.15 + 0.05 * i))
+            for i, (terrain, rho, phase) in enumerate(specs)]
+    fields = {f.name: np.stack([getattr(c, f.name) for c in solo])
+              for f in dataclasses.fields(solo[0]) if f.name != "seg"}
+    batch = ContactSet(seg=solo[0].seg, **fields)
+    assert sorted({float(r) for c in solo for r in c.rho}) == [0.0, 0.5, 1.0]
+    xis = np.random.default_rng(5).normal(scale=(0.2, 0.2, 1.0), size=(4, 3))
+    pot = _Dissipation(batch, GROUND, ROBOT.friction)
+    psi, v, s = pot.value(xis)
+    grad, hess = pot.derivatives(xis, v, s)
+    for i, c in enumerate(solo):
+        alone = _Dissipation(c, GROUND, ROBOT.friction)
+        psi_i, v_i, s_i = alone.value(xis[i])
+        grad_i, hess_i = alone.derivatives(xis[i], v_i, s_i)
+        assert psi[i] == psi_i
+        np.testing.assert_array_equal(v[i], v_i)
+        np.testing.assert_array_equal(s[i], s_i)
+        np.testing.assert_array_equal(grad[i], grad_i)
+        np.testing.assert_array_equal(hess[i], hess_i)
+
+
+def test_derivatives_at_a_stopped_loaded_contact_are_finite():
+    """With joint rates zero, the twist (ry, -rx, 1) stops exactly the
+    contact at lever arm (rx, ry): its speed is 0, and its Hessian term
+    -c u u^T, with c = k/((s + eps) s), is bounded there.  Among the 40 mm
+    contacts, whose belly has rho = 1 and Coulomb weight 0, the Hessian is
+    finite and symmetric, with no RuntimeWarning, and matches central
+    differences of the gradient."""
+    c = _contacts(terrain=DEEP, alpha_rates=(0.0, 0.0, 0.0))
+    foot = int(np.flatnonzero(c.normal)[-1])
+    assert c.rho[foot] == 0.0 and (c.rho == 1.0).any()
+    rx, ry = c.pos[foot] - c.ref
+    xi = np.array([ry, -rx, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pot = _Dissipation(c, GROUND, ROBOT.friction)
+        _, v, s = pot.value(xi)
+        grad, hess = pot.derivatives(xi, v, s)
+    assert s[foot] == 0.0 and np.count_nonzero(s == 0.0) == 1
+    assert np.isfinite(grad).all() and np.isfinite(hess).all()
+    np.testing.assert_allclose(hess, hess.T, rtol=1e-12,
+                               atol=1e-12 * np.abs(hess).max())
+    # The curvature changes over |v| ~ slip_eps, so the step is small.
+    h = 1e-9
+    fd = np.stack([(_potential(c, xi + dx)[1] - _potential(c, xi - dx)[1])
+                   / (2 * h) for dx in h * np.eye(3)], axis=-1)
+    np.testing.assert_allclose(hess, fd, rtol=0,
+                               atol=1e-4 * np.abs(hess).max())
 
 
 def test_potential_gradient_is_minus_scaled_residual():
