@@ -9,7 +9,9 @@ extracted post hoc from the resolved element forces.
 Each contact force is minus the velocity gradient of a convex dissipation
 potential and contact velocities are affine in the twist, so the balance
 minimises a strictly convex function of the twist.  The solver runs damped
-Newton on it, with the quadratic drag share precomputed and no fallback.
+Newton on it, with no fallback.  Both shares of the potential use one
+contact Jacobian, the rows B_i mapping the twist to contact i's velocity;
+the drag share is quadratic in the twist and is summed once per solve.
 
 Independent trials advance in lock-step over a leading batch axis: every
 kernel below takes leading batch axes (``...``), and a single trial is the
@@ -67,8 +69,13 @@ _ROT90 = np.array([-1.0, 1.0])
 # Kinematics
 
 def _frames(pose, alphas, robot):
-    """``chain_frames``, with each heading's (cos, sin) in place of the
-    joint positions (which are ``seg_start[..., 1:, :]``)."""
+    """Segment headings, each heading's (cos, sin), and the head-end
+    position of each segment.
+
+    The head tip is the chain root at ``pose[..., :2]``; segments extend
+    tail-ward.  Joint ``j`` (1-based) sits between segments ``j-1`` and
+    ``j``, at ``seg_start[..., j, :]``, and bends every segment behind it.
+    """
     pose = np.asarray(pose, dtype=float)
     batch, n = pose.shape[:-1], robot.n_segments
     # Each heading adds one joint angle to the one before it, and each
@@ -86,17 +93,6 @@ def _frames(pose, alphas, robot):
                 out=seg_start[..., 1:, :])
     seg_start.cumsum(axis=-2, out=seg_start)
     return headings, cs, seg_start
-
-
-def chain_frames(pose, alphas, robot):
-    """Segment headings, head-end positions, and joint positions.
-
-    The head tip is the chain root at ``pose[..., :2]``; segments extend
-    tail-ward.  Joint ``j`` (1-based) sits between segments ``j-1`` and
-    ``j`` and bends every segment behind it.
-    """
-    headings, _, seg_start = _frames(pose, alphas, robot)
-    return headings, seg_start, seg_start[..., 1:, :]
 
 
 def _center(seg_start, cs, robot):
@@ -269,50 +265,7 @@ def _residual(xi, c, gm, robot):
     return _pull_back(F, r) * _residual_scale(robot), F, v
 
 
-# p = blocks @ feat, flattened row by row (p_ij at 6 i + j), gives the
-# flattened 3x3 sum
-#     p00  p10  h02          h02 = p11 - p02
-#     p10  p20  h12    with  h12 = p21 - p12
-#     h02  h12  h22          h22 = p04 - 2 p15 + p23
-# as p @ _H_MAP plus p23 in h22.  Each column of _H_MAP sums at most two
-# exact terms, so every summation order gives the same entry.
-_H_MAP = np.zeros((18, 9))
-_H_MAP[[0, 6, 7, 6, 12, 13, 7, 13, 4], range(9)] = 1.0
-_H_MAP[[2, 8, 2, 8, 11], [2, 5, 6, 7, 8]] = -1.0, -1.0, -1.0, -1.0, -2.0
-
-
-def _assemble(blocks, feat):
-    """Sum of B_i^T H_i B_i over contacts, B_i = [[1, 0, -ry], [0, 1, rx]].
-
-    ``blocks`` holds the rows h11, h12, h22 of the symmetric 2x2 blocks H_i;
-    ``feat`` the columns [1, rx, ry, rx^2, ry^2, rx*ry] of the lever arms.
-    """
-    p = blocks @ feat
-    p = p.reshape(p.shape[:-2] + (18,))
-    h = p @ _H_MAP
-    h[..., 8] += p[..., 15]        # h22 = (p04 - 2 p15) + p23
-    return h.reshape(p.shape[:-1] + (3, 3))
-
-
-_PERP_DIAG = np.array([1.0, 0.0, 1.0])
 _EYE3 = np.eye(3)
-
-
-def _outer(u, v):
-    """Entries xx, xy, yy of u v^T for each vector of ``u`` and ``v``, in a
-    new C-ordered array (so sums over its contacts run in one order)."""
-    out = np.empty(u.shape[:-1] + (3,))
-    np.multiply(u[..., :1], v, out=out[..., :2])
-    np.multiply(u[..., 1], v[..., 1], out=out[..., 2])
-    return out
-
-
-# feat @ _BTB is each contact's B^T B = [[1, 0, -ry], [0, 1, rx],
-# [-ry, rx, rx^2 + ry^2]], flattened.  Each column sums at most two exact
-# terms, so every summation order gives the same entry.
-_BTB = np.zeros((6, 9))
-_BTB[[0, 0, 1, 1, 3, 4], [0, 4, 5, 7, 8, 8]] = 1.0
-_BTB[2, [2, 6]] = -1.0
 
 
 class _Dissipation:
@@ -320,9 +273,13 @@ class _Dissipation:
 
     Psi sums (1 - rho) mu N (s - eps log(1 + s/eps)) with s = |v| over the
     Coulomb share and rho v.D.v / 2 over the drag share, whose minus
-    velocity gradients are the two force laws of ``contact_forces``.  The
-    drag share is quadratic in the twist, so it is folded once into
-    ``0.5 xi.K.xi + k0.xi + c0``.
+    velocity gradients are the two force laws of ``contact_forces``.  Both
+    shares take the contact velocities v_i = B_i xi + w_i, with
+    B_i = [[1, 0, -ry], [0, 1, rx]] at lever arm r_i.  The drag tensor
+    D_i = c_perp I + (c_par - c_perp) a_i a_i^T makes the drag share
+    quadratic in the twist, so it is folded once into
+    ``0.5 xi.K.xi + k0.xi + c0``: K sums rho c_perp B_i^T B_i and the
+    rank-one rho (c_par - c_perp) t_i t_i^T, with t_i = B_i^T a_i.
 
     The Coulomb share runs over every contact of ``_layout(robot)`` as
     contiguous per-component rows: the velocities are one ``(..., 2n)`` row
@@ -336,27 +293,39 @@ class _Dissipation:
     def __init__(self, c, gm, mu):
         r = c.pos - c.ref[..., None, :]
         batch, n = r.shape[:-2], r.shape[-2]
-        # columns 1, rx, ry, rx^2, ry^2, rx*ry
-        feat = np.concatenate([np.ones_like(r[..., :1]), r, r * r,
-                               r[..., :1] * r[..., 1:]], axis=-1)
-        # entries xx, xy, yy of each contact's drag tensor
-        a, w = c.axis, c.vshape
-        dc = gm.rft_par - gm.rft_perp
-        drag = c.rho[..., None] * (_outer(dc * a, a)
-                                   + _PERP_DIAG * gm.rft_perp)
-        dw = drag[..., :2] * w[..., :1] + drag[..., 1:] * w[..., 1:]
-        self.K = _assemble(drag.mT, feat)
-        self.k0 = _pull_back(dw, r)
-        self.c0 = 0.5 * (dw * w).reshape(w.shape[:-2] + (-1,)).sum(axis=-1)
-
+        rx, ry = r[..., 0], r[..., 1]
         # Rows of B_i = [[1, 0, -ry], [0, 1, rx]]: x rows, then y rows.
         self.map = np.zeros(batch + (2, n, 3))
         self.map[..., 0, :, 0] = self.map[..., 1, :, 1] = 1.0
-        self.map[..., 0, :, 2] = -r[..., 1]
-        self.map[..., 1, :, 2] = r[..., 0]
+        self.map[..., 0, :, 2] = -ry
+        self.map[..., 1, :, 2] = rx
         self.map = self.map.reshape(batch + (2 * n, 3))
+        # B_i^T B_i = [[1, 0, -ry], [0, 1, rx], [-ry, rx, rx^2 + ry^2]],
+        # flattened.
+        self.btb = np.zeros(batch + (n, 9))
+        self.btb[..., 0] = self.btb[..., 4] = 1.0
+        self.btb[..., 2] = self.btb[..., 6] = -ry
+        self.btb[..., 5] = self.btb[..., 7] = rx
+        self.btb[..., 8] = rx * rx + ry * ry
+
+        # Drag share: rho D_i = perp_i I + par_i a_i a_i^T.
+        a, w = c.axis, c.vshape
+        perp = c.rho * gm.rft_perp
+        par = c.rho * (gm.rft_par - gm.rft_perp)
+        t = np.empty(batch + (n, 3))
+        t[..., :2] = a
+        t[..., 2] = rx * a[..., 1] - ry * a[..., 0]
+        bw = np.empty(batch + (n, 3))      # B_i^T w_i
+        bw[..., :2] = w
+        bw[..., 2] = rx * w[..., 1] - ry * w[..., 0]
+        aw = np.vecdot(a, w)
+        self.K = (np.vecmat(perp, self.btb).reshape(batch + (3, 3))
+                  + (t * par[..., None]).mT @ t)
+        self.k0 = np.vecmat(perp, bw) + np.vecmat(par * aw, t)
+        self.c0 = 0.5 * (np.vecdot(perp, np.vecdot(w, w))
+                         + np.vecdot(par, aw * aw))
+
         self.w = w.mT.reshape(batch + (2 * n,))
-        self.btb = feat @ _BTB
         self.m = (1.0 - c.rho) * mu * c.normal
         self.n = n
         self.eps = gm.slip_eps

@@ -2,23 +2,25 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from granugait import harness, sim
 from granugait.config import RunConfig
 from granugait.control import ControllerParams, PhaseController
-from granugait.errors import DegenerateSupportError, SolverError
+from granugait.errors import (ConfigError, DegenerateSupportError,
+                              SimulationError, SolverError)
 from granugait.gait import (TWO_PI, BodyWave, GaitParams, LegId,
                             leg_contact_fraction)
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.percept import LoadPipelineConfig
 from granugait.sim import (
-    ContactSet, JOINT_NAMES, Trial, blend_groups, build_contacts,
-    chain_frames, compute_joint_torques, simulate_trial, simulate_trials,
+    ContactSet, JOINT_NAMES, Trial, _frames, blend_groups, build_contacts,
+    compute_joint_torques, simulate_trial, simulate_trials,
 )
 
 ROBOT = RobotModel()
@@ -59,12 +61,14 @@ def _mirror(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# chain_frames / compute_joint_torques
+# _frames / compute_joint_torques
 
-def test_chain_frames_straight_body():
+def test_frames_straight_body():
     pose = np.array([0.45, 0.0, 0.0])
-    headings, seg_start, joints = chain_frames(pose, np.zeros(3), ROBOT)
+    headings, cs, seg_start = _frames(pose, np.zeros(3), ROBOT)
+    joints = seg_start[..., 1:, :]
     np.testing.assert_allclose(headings, 0.0)
+    np.testing.assert_allclose(cs, [[1.0, 0.0]] * ROBOT.n_segments)
     np.testing.assert_allclose(seg_start[:, 1], 0.0)
     np.testing.assert_allclose(joints[:, 0], [0.3375, 0.225, 0.1125])
 
@@ -87,7 +91,7 @@ def test_single_tail_tip_force_lever_arms():
     contacts = ContactSet(
         pos=tip, axis=np.array([[1.0, 0.0]]), rho=np.zeros(1),
         normal=np.zeros(1), vshape=np.zeros((1, 2)), seg=np.array([3]),
-        joints=chain_frames(pose, alphas, ROBOT)[2], ref=pose[:2],
+        joints=_frames(pose, alphas, ROBOT)[2][..., 1:, :], ref=pose[:2],
     )
     forces = np.array([[0.0, 1.0]])
     tau = compute_joint_torques(contacts, forces, ROBOT)
@@ -287,6 +291,52 @@ def test_non_finite_forces_raise_solver_error():
         simulate_trial(_params(-math.pi / 3), TerrainProfile.constant(40.0),
                        n_cycles=1, robot=RobotModel(mass=1e308),
                        ground=GROUND, steps_per_cycle=20)
+
+
+def _log_uniform(lo, hi):
+    """Floats spread evenly in log10 between ``lo`` and ``hi``."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frequency=_log_uniform(1e-4, 1e4), slip_eps=_log_uniform(1e-8, 1.0),
+       segment_length=_log_uniform(0.09, 1e3), mass=_log_uniform(1e-4, 1e4),
+       rft_par=_log_uniform(1e-4, 1e4), perp_ratio=_log_uniform(1.0, 1e3))
+@example(frequency=1e20, slip_eps=1e-4, segment_length=0.1125, mass=0.6,
+         rft_par=1.5, perp_ratio=2.5)
+@example(frequency=1.0, slip_eps=1e-50, segment_length=0.1125, mass=0.6,
+         rft_par=1.5, perp_ratio=2.5)
+@example(frequency=1.0, slip_eps=1e-4, segment_length=1e50, mass=0.6,
+         rft_par=1.5, perp_ratio=2.5)
+@example(frequency=1.0, slip_eps=1e-4, segment_length=0.1125, mass=0.6,
+         rft_par=1e99, perp_ratio=9.9)
+def test_any_valid_config_ends_finite_or_raises_simulation_error(
+        frequency, slip_eps, segment_length, mass, rft_par, perp_ratio):
+    """Every config that ``RunConfig.validate`` accepts either runs a short
+    trial at 0, 20 and 40 mm to finite poses and torques, or raises a
+    ``SimulationError``; any other exception or any warning fails.  The
+    draws span four decades either side of the defaults; the examples are
+    accepted configs at the edge of the solver's range, each of which ends
+    in a ``SolverError`` at some depth."""
+    cfg = RunConfig(frequency=frequency, slip_eps=slip_eps,
+                    segment_length=segment_length, mass=mass,
+                    rft_par=rft_par, rft_perp=perp_ratio * rft_par)
+    try:
+        cfg.validate()
+    except ConfigError:
+        assume(False)
+    for depth in (0.0, 20.0, 40.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rec = simulate_trial(
+                    cfg.gait(-math.pi / 6), TerrainProfile.constant(depth),
+                    n_cycles=1, robot=cfg.robot(), ground=cfg.ground(),
+                    steps_per_cycle=20, clamp_limit=cfg.effective_clamp,
+                    blend_frac=cfg.blend_frac)
+            except SimulationError:
+                continue
+        assert np.isfinite(rec.poses).all() and np.isfinite(rec.torques).all()
 
 
 def test_timestep_convergence():

@@ -168,6 +168,32 @@ def test_analytic_hessian_matches_finite_difference():
                 abs=1e-6)
 
 
+def test_potential_value_equals_the_closed_form_sum():
+    """Psi at random twists equals sum (1 - rho) mu N (s - eps log1p(s/eps))
+    + sum rho v.D.v / 2, with each contact velocity built from the twist
+    and lever arm directly.  This pins the drag share's constant c0, which
+    no difference or derivative of Psi sees but the line search's slack
+    does."""
+    eps, mu = GROUND.slip_eps, ROBOT.friction
+    rng = np.random.default_rng(3)
+    for terrain, rho in ((FLAT, None), (MID, None), (DEEP, None), (FLAT, 0.5)):
+        c = _contacts(terrain=terrain, rho_override=rho)
+        pot = _Dissipation(c, GROUND, mu)
+        r = c.pos - c.ref
+        for xi in rng.normal(scale=(0.2, 0.2, 1.0), size=(5, 3)):
+            v = xi[:2] + xi[2] * np.stack([-r[:, 1], r[:, 0]], axis=1) \
+                + c.vshape
+            s = np.linalg.norm(v, axis=1)
+            v_par = np.einsum("cj,cj->c", v, c.axis)
+            v_perp = v - v_par[:, None] * c.axis
+            coulomb = (1 - c.rho) * mu * c.normal * (
+                s - eps * np.log1p(s / eps))
+            drag = 0.5 * c.rho * (GROUND.rft_par * v_par ** 2
+                                  + GROUND.rft_perp * (v_perp ** 2).sum(1))
+            assert pot.value(xi)[0] == pytest.approx(
+                coulomb.sum() + drag.sum(), rel=1e-12, abs=0)
+
+
 def test_batched_potential_equals_each_trial_alone_bit_for_bit():
     """Psi, its gradient and its Hessian of each trial in a mixed batch
     (flat, 20 mm, 40 mm and a blend-ratio override of 0.5) equal those of
