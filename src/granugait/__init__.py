@@ -14,8 +14,8 @@ from .sim import (  # noqa: F401
     solve_quasistatic_velocity,
 )
 from .percept import (  # noqa: F401
-    DepthClassifier, LabeledFeature, LoadPipelineConfig, add_sensor_noise,
-    evaluate, knn_classify, knn_train, lowpass, rectify, torque_to_load,
+    DepthClassifier, LoadPipelineConfig, add_sensor_noise, evaluate,
+    knn_classify, knn_train, lowpass, rectify, torque_to_load,
 )
 from .control import (  # noqa: F401
     ControllerParams, ControllerState, PhaseController, calibrate_tau0,

@@ -18,7 +18,7 @@ from . import __version__, control, percept
 from .config import RunConfig
 from .gait import optimal_phase_for_depth
 from .model import MAX_DEPTH_MM, TerrainProfile
-from .percept import DEPTH_CLASSES, LabeledFeature
+from .percept import DEPTH_CLASSES
 from .sim import JOINT_NAMES, Trial, simulate_trial, simulate_trials
 
 TRANSITION_MODES = ("adaptive", "fixed_phi_0", "fixed_phi_-pi/3")
@@ -312,7 +312,9 @@ def run_model_torque(cfg: RunConfig, out_dir=None):
 # Classifier
 
 def generate_feature_dataset(cfg: RunConfig):
-    """Synthetic (tau_m, phi, depth) features for every joint.
+    """Synthetic (tau_m, phi, depth) features for every joint, as columns
+    keyed by ``percept.DATASET_COLUMNS``, one row per (cell, trial, cycle,
+    joint) in that order.
 
     The dynamics for a (depth, phi) cell are deterministic, so each cell is
     simulated once noise-free, all cells in one lock-step batch, and its
@@ -320,8 +322,6 @@ def generate_feature_dataset(cfg: RunConfig):
     the recorded torques; one load pipeline call processes all of a cell's
     virtual trials, whose generators are seeded in one pass.
     """
-    features = {name: [] for name in JOINT_NAMES}
-    rows = []
     cells = [(di, depth, pi, phi) for di, depth in enumerate(DEPTH_CLASSES)
              for pi, phi in enumerate(cfg.phi_grid)]
     terrains = {depth: TerrainProfile.constant(depth)
@@ -329,17 +329,16 @@ def generate_feature_dataset(cfg: RunConfig):
     records = _simulate_batch(
         cfg, [Trial(phi, terrains[depth], load_cfg=cfg.load_cfg(noise_cov=0.0))
               for _, depth, _, phi in cells], cfg.classify_cycles)
-    for (di, depth, pi, phi), rec in zip(cells, records):
-        rngs = _trial_rngs(cfg.classify_trials_per_cell, cfg.seed, 100, di, pi)
-        medians = percept.trial_cycle_medians(
-            rec.torques, cfg.steps_per_cycle, cfg.load_cfg(), rngs)
-        for trial, trial_medians in enumerate(medians.tolist()):
-            for cyc, cycle_medians in enumerate(trial_medians):
-                for name, tau_m in zip(JOINT_NAMES, cycle_medians):
-                    features[name].append(
-                        LabeledFeature(tau_m, float(phi), depth))
-                    rows.append((name, float(phi), tau_m, depth, trial, cyc))
-    return features, rows
+    medians = np.stack([percept.trial_cycle_medians(
+        rec.torques, cfg.steps_per_cycle, cfg.load_cfg(),
+        _trial_rngs(cfg.classify_trials_per_cell, cfg.seed, 100, di, pi))
+        for (di, _, pi, _), rec in zip(cells, records)])
+    cell, trial, cycle, joint = np.indices(medians.shape).reshape(4, -1)
+    return {"joint": np.array(JOINT_NAMES)[joint],
+            "phi_rad": np.array([phi for *_, phi in cells], dtype=float)[cell],
+            "tau_m_pct": medians.ravel(),
+            "depth_mm": np.array([depth for _, depth, _, _ in cells])[cell],
+            "trial_id": trial, "cycle_id": cycle}
 
 
 @dataclass
@@ -357,22 +356,23 @@ def _confusion_text(confusion):
 
 
 def run_classifier_eval(cfg: RunConfig, out_dir=None):
-    """Train/evaluate one KNN per joint on a seeded 50/50 split."""
-    features, rows = generate_feature_dataset(cfg)
+    """Train/evaluate one KNN per joint on a seeded 50/50 split: one
+    permutation of each joint's rows, the first half for training."""
+    columns = generate_feature_dataset(cfg)
+    perm = np.random.default_rng(_subseed(cfg.seed, 200)).permutation(
+        len(columns["joint"]) // len(JOINT_NAMES))
+    half = len(perm) // 2
     accuracy, confusion, classifiers = {}, {}, {}
     for name in JOINT_NAMES:
-        data = features[name]
-        rng = np.random.default_rng(_subseed(cfg.seed, 200))
-        idx = rng.permutation(len(data))
-        half = len(data) // 2
-        train = [data[i] for i in idx[:half]]
-        test = [data[i] for i in idx[half:]]
-        clf = percept.knn_train(train, cfg.knn_k)
-        mat, acc = percept.evaluate(clf, test)
+        rows = np.flatnonzero(columns["joint"] == name)[perm]
+        tau, phi, depth = (columns[c][rows]
+                           for c in ("tau_m_pct", "phi_rad", "depth_mm"))
+        clf = percept.knn_train(tau[:half], phi[:half], depth[:half], cfg.knn_k)
+        mat, acc = percept.evaluate(clf, tau[half:], phi[half:], depth[half:])
         accuracy[name], confusion[name], classifiers[name] = acc, mat, clf
     result = ClassifierResult(accuracy, confusion, classifiers)
     if out_dir is not None:
-        percept.write_dataset(os.path.join(out_dir, "dataset.csv"), rows)
+        percept.write_dataset(os.path.join(out_dir, "dataset.csv"), columns)
         for name in JOINT_NAMES:
             _write_csv(os.path.join(out_dir, f"confusion_{name}.csv"),
                        ["true_depth_mm"] + [f"pred_{c}" for c in DEPTH_CLASSES],

@@ -10,10 +10,11 @@ cycles and so yields the same medians bit for bit.  A K-nearest-neighbors
 model over (median load, phase offset) features then classifies bead
 depth into the {0, 20, 40} mm classes.
 
-Both offline stages also take a batch: ``trial_cycle_medians`` accepts an
-iterable of generators, one per virtual trial over the same torques, and
-``knn_classify`` accepts 1-D arrays of queries.  A batched call gives the
-same results bit for bit as one call per trial or per query.
+The offline stages work on batches, bit for bit as one call per item:
+``trial_cycle_medians`` takes one generator per virtual trial and
+``knn_classify`` 1-D arrays of queries.  A feature set is 1-D arrays of
+one length: ``knn_train`` and ``evaluate`` take its ``tau_m``, ``phi`` and
+``labels``, and ``write_dataset`` writes its ``DATASET_COLUMNS`` as CSV.
 """
 
 from __future__ import annotations
@@ -168,44 +169,29 @@ class OnlineLoadPipeline:
         return np.median(proc, axis=0)
 
 
-def trial_cycle_medians(torques, steps_per_cycle, cfg, rng):
-    """Full load pipeline applied offline to a (N, 3) torque history.
-
-    With one generator, returns per-cycle medians (C, 3), equal to
-    streaming the trial through OnlineLoadPipeline with that generator.
-    With an iterable of generators, one per virtual trial over the same
-    torques, returns (T, C, 3), equal bit for bit to one call per
-    generator: each draws its bias, then its noise, and the filter stage
-    runs once over the stacked (N, T, 3) block.
+def trial_cycle_medians(torques, steps_per_cycle, cfg, rngs):
+    """Full load pipeline applied offline to a (N, 3) torque history, one
+    virtual trial per generator in ``rngs``: per-cycle medians (T, C, 3),
+    trial t equal to streaming the torques through OnlineLoadPipeline with
+    generator t.  Each generator draws its bias, then its noise, and the
+    filter stage runs once over the stacked (N, T, 3) block.
     """
     torques = np.asarray(torques, dtype=float)
     n = len(torques)
     if n == 0 or n % steps_per_cycle != 0:
         raise ValueError("torque history must hold whole cycles")
-    single = isinstance(rng, np.random.Generator)
     load = torque_to_load(torques, cfg.gain, cfg.clip)
     # Generators are consumed one at a time, so none outlives its draws.
-    raw = np.stack([_noisy(load + _bias(cfg, g), cfg, g)
-                    for g in ([rng] if single else rng)], axis=1)
+    raw = np.stack([_noisy(load + _bias(cfg, g), cfg, g) for g in rngs],
+                   axis=1)
     proc, _ = _filtered(raw, cfg)
-    med = np.median(proc.reshape(n // steps_per_cycle, steps_per_cycle, -1, 3),
-                    axis=1).transpose(1, 0, 2)
-    return med[0] if single else med
+    return np.median(
+        proc.reshape(n // steps_per_cycle, steps_per_cycle, -1, 3),
+        axis=1).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
 # KNN depth classification
-
-@dataclass(frozen=True)
-class LabeledFeature:
-    tau_m: float     # load %, cycle median
-    phi: float       # rad, commanded phase offset
-    label: int       # depth class, mm
-
-    def __post_init__(self):
-        if self.label not in DEPTH_CLASSES:
-            raise ValueError(f"label {self.label} not in {DEPTH_CLASSES}")
-
 
 @dataclass(frozen=True)
 class DepthClassifier:
@@ -218,19 +204,31 @@ class DepthClassifier:
                            # tau_m, ties in training order
 
 
-def knn_train(data, k):
-    """Fit a KNN depth classifier with z-scored features."""
-    if not data:
-        raise ValueError("training data must be nonempty")
-    if not 1 <= k <= len(data):
-        raise ValueError(f"k must lie in [1, {len(data)}], got {k}")
-    X = np.array([[f.tau_m, f.phi] for f in data], dtype=float)
-    y = np.array([f.label for f in data])
+def _feature_set(tau_m, phi, labels):
+    """``tau_m``, ``phi`` (as floats) and ``labels``, checked to be nonempty
+    1-D arrays of one length with every label a depth class."""
+    tau, phi = np.asarray(tau_m, dtype=float), np.asarray(phi, dtype=float)
+    labels = np.asarray(labels)
+    if not tau.shape == phi.shape == labels.shape or tau.ndim != 1 \
+            or not len(tau):
+        raise ValueError("tau_m, phi and labels must be nonempty 1-D arrays "
+                         "of one length")
+    unknown = set(np.unique(labels).tolist()) - set(DEPTH_CLASSES)
+    if unknown:
+        raise ValueError(f"labels {sorted(unknown)} not in {DEPTH_CLASSES}")
+    return tau, phi, labels
+
+
+def knn_train(tau_m, phi, labels, k):
+    """Fit a KNN depth classifier on z-scored (tau_m, phi) features."""
+    tau, phi, y = _feature_set(tau_m, phi, labels)
+    if not 1 <= k <= len(y):
+        raise ValueError(f"k must lie in [1, {len(y)}], got {k}")
+    X = np.stack([tau, phi], axis=1)
     if not np.isfinite(X).all():
         raise ValueError("training features must be finite")
-    present = set(np.unique(y))
-    if present != set(DEPTH_CLASSES):
-        missing = sorted(set(DEPTH_CLASSES) - present)
+    missing = sorted(set(DEPTH_CLASSES) - set(np.unique(y)))
+    if missing:
         raise ValueError(f"training data missing depth classes {missing}")
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
@@ -324,17 +322,15 @@ def knn_classify(c, tau_m, phi):
     return int(out[0]) if tau.ndim == 0 else out
 
 
-def evaluate(c, test_set):
+def evaluate(c, tau_m, phi, labels):
     """3x3 confusion matrix (rows = true class) and overall accuracy."""
-    if not test_set:
-        raise ValueError("test set must be nonempty")
-    pred = knn_classify(c, [f.tau_m for f in test_set],
-                        [f.phi for f in test_set])
+    tau, phi, y = _feature_set(tau_m, phi, labels)
+    pred = knn_classify(c, tau, phi)
     classes = np.array(DEPTH_CLASSES)
-    true = np.searchsorted(classes, [f.label for f in test_set])
     confusion = np.zeros((3, 3), dtype=int)
-    np.add.at(confusion, (true, np.searchsorted(classes, pred)), 1)
-    accuracy = float(np.trace(confusion)) / len(test_set)
+    np.add.at(confusion, (np.searchsorted(classes, y),
+                          np.searchsorted(classes, pred)), 1)
+    accuracy = float(np.trace(confusion)) / len(y)
     return confusion, accuracy
 
 
@@ -345,10 +341,11 @@ DATASET_COLUMNS = ("joint", "phi_rad", "tau_m_pct", "depth_mm", "trial_id",
                    "cycle_id")
 
 
-def write_dataset(path, rows):
-    """Write (joint, phi, tau_m, depth, trial, cycle) feature rows as CSV."""
+def write_dataset(path, columns):
+    """Write feature columns, keyed by DATASET_COLUMNS, as CSV rows."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DATASET_COLUMNS)
-        for joint, phi, tau_m, depth, trial, cycle in rows:
+        for joint, phi, tau_m, depth, trial, cycle in zip(
+                *(columns[name] for name in DATASET_COLUMNS)):
             w.writerow([joint, f"{phi:.9f}", f"{tau_m:.9f}", depth, trial, cycle])

@@ -1,6 +1,7 @@
 """Experiment runner and CLI tests: configs, CSV outputs, determinism."""
 
 import configparser
+import csv
 import dataclasses
 import importlib.util
 import math
@@ -456,6 +457,29 @@ def test_classifier_eval_structure(tmp_path):
             cfg.classify_trials_per_cell * cfg.classify_cycles // 2
         assert (tmp_path / f"confusion_{joint}.csv").exists()
     assert (tmp_path / "dataset.csv").exists()
+
+
+def test_classifiers_are_trained_on_the_dataset_csv_split(tmp_path):
+    """Each joint's KNN holds exactly the training half of its dataset.csv
+    rows under the documented split: a permutation of the joint's rows
+    seeded from SeedSequence([seed, 200]), the first half for training."""
+    cfg = RunConfig.from_ini(os.path.join(CONFIGS, "quick.ini"))
+    cfg.validate()
+    res = harness.run_classifier_eval(cfg, out_dir=tmp_path)
+    with open(tmp_path / "dataset.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    seed = np.random.SeedSequence([cfg.seed, 200]).generate_state(1)[0]
+    for joint in ("upper", "lower", "tail"):
+        mine = [r for r in rows if r["joint"] == joint]
+        idx = np.random.default_rng(int(seed)).permutation(len(mine))
+        train = [mine[i] for i in idx[:len(mine) // 2]]
+        clf = res.classifiers[joint]
+        np.testing.assert_allclose(
+            clf.features * clf.scale + clf.mean,
+            [(float(r["tau_m_pct"]), float(r["phi_rad"])) for r in train],
+            rtol=0, atol=5e-10)
+        np.testing.assert_array_equal(
+            clf.labels, [int(r["depth_mm"]) for r in train])
 
 
 def test_closedloop_outputs(tmp_path):

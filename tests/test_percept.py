@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from granugait import percept
 from granugait.percept import (
-    DATASET_COLUMNS, DEPTH_CLASSES, LOWPASS_THEN_RECTIFY, LabeledFeature,
-    LoadPipelineConfig, OnlineLoadPipeline, RECTIFY_THEN_LOWPASS,
+    DATASET_COLUMNS, DEPTH_CLASSES, LOWPASS_THEN_RECTIFY, LoadPipelineConfig,
+    OnlineLoadPipeline, RECTIFY_THEN_LOWPASS,
     add_sensor_noise, evaluate, knn_classify, knn_train, lowpass, rectify,
     torque_to_load, trial_cycle_medians, write_dataset,
 )
@@ -121,8 +121,8 @@ def test_online_and_offline_pipelines_agree():
             raw = np.stack([online.push_raw(tau) for tau in torques])
             med_online = np.stack([online.cycle_median(block)
                                    for block in np.split(raw, 4)])
-            med_offline = trial_cycle_medians(torques, 50, cfg,
-                                              np.random.default_rng(77))
+            med_offline = trial_cycle_medians(
+                torques, 50, cfg, [np.random.default_rng(77)])[0]
             np.testing.assert_array_equal(med_online, med_offline)
 
 
@@ -145,8 +145,8 @@ def test_cycle_median_permutation_invariant(vals):
     perm = x[np.random.default_rng(0).permutation(len(x))]
     rng = np.random.default_rng(0)
     np.testing.assert_array_equal(
-        trial_cycle_medians(x, len(x), PLAIN, rng),
-        trial_cycle_medians(perm, len(x), PLAIN, rng))
+        trial_cycle_medians(x, len(x), PLAIN, [rng]),
+        trial_cycle_medians(perm, len(x), PLAIN, [rng]))
 
 
 def test_pipeline_order_configurable():
@@ -155,19 +155,19 @@ def test_pipeline_order_configurable():
     torques = 0.3 * np.cos(np.linspace(0, 20 * np.pi, 100)) \
         .reshape(-1, 1) * np.ones((1, 3))
     a = trial_cycle_medians(torques, 100, LoadPipelineConfig(noise_cov=0.0),
-                            np.random.default_rng(0))
+                            [np.random.default_rng(0)])
     b = trial_cycle_medians(
         torques, 100,
         LoadPipelineConfig(noise_cov=0.0, order=RECTIFY_THEN_LOWPASS),
-        np.random.default_rng(0))
+        [np.random.default_rng(0)])
     assert not np.allclose(a, b)
 
 
 def test_fixed_bias_shifts_noise_free_loads():
     torques = np.zeros((100, 3))
     cfg = LoadPipelineConfig(noise_cov=0.0, bias=(5.0, -3.0, 1.0))
-    med = trial_cycle_medians(torques, 100, cfg, np.random.default_rng(0))
-    np.testing.assert_allclose(med[0], [5.0, 3.0, 1.0])
+    med = trial_cycle_medians(torques, 100, cfg, [np.random.default_rng(0)])
+    np.testing.assert_allclose(med[0, 0], [5.0, 3.0, 1.0])
 
 
 @pytest.mark.parametrize("order", [LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS])
@@ -186,14 +186,15 @@ def test_many_generators_equal_one_call_each(order, noise_cov, bias):
     for s, got in zip(seeds, batch):
         np.testing.assert_array_equal(
             got, trial_cycle_medians(torques, 20, cfg,
-                                     np.random.default_rng(s)))
+                                     [np.random.default_rng(s)])[0])
 
 
 def test_many_generators_leave_each_generator_where_one_call_does():
     torques = np.ones((40, 3))
     a, b = np.random.default_rng(1), np.random.default_rng(1)
-    trial_cycle_medians(torques, 20, LoadPipelineConfig(), [a])
-    trial_cycle_medians(torques, 20, LoadPipelineConfig(), b)
+    trial_cycle_medians(torques, 20, LoadPipelineConfig(),
+                        [a, np.random.default_rng(2)])
+    trial_cycle_medians(torques, 20, LoadPipelineConfig(), [b])
     assert a.random() == b.random()
 
 
@@ -215,21 +216,26 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 # KNN
 
+def _rows(data, idx):
+    """Rows ``idx`` of a (tau_m, phi, labels) feature set."""
+    return tuple(col[idx] for col in data)
+
+
 def _toy_dataset(n_per_class=30, spread=1.0, seed=3):
     rng = np.random.default_rng(seed)
-    data = []
+    tau, phi, labels = [], [], []
     for label, center in zip(DEPTH_CLASSES, (10.0, 30.0, 50.0)):
         for _ in range(n_per_class):
-            data.append(LabeledFeature(
-                center + spread * rng.standard_normal(),
-                float(rng.uniform(-math.pi / 2, 0)), label))
-    return data
+            tau.append(center + spread * rng.standard_normal())
+            phi.append(float(rng.uniform(-math.pi / 2, 0)))
+            labels.append(label)
+    return np.array(tau), np.array(phi), np.array(labels)
 
 
 def _brute_force_knn(data, k, tau_m, phi, mean, scale):
     """Oracle: full sort of all standardized distances, same tie-break."""
-    X = np.array([[f.tau_m, f.phi] for f in data])
-    y = np.array([f.label for f in data])
+    X = np.stack(data[:2], axis=1)
+    y = data[2]
     q = (np.array([tau_m, phi]) - mean) / scale
     Z = (X - mean) / scale
     d2 = np.sum((Z - q) ** 2, axis=1)
@@ -247,38 +253,58 @@ def _brute_force_knn(data, k, tau_m, phi, mean, scale):
 
 
 def test_knn_single_point_query_returns_its_label():
-    data = _toy_dataset()
-    clf = knn_train(data, 1)
-    f = data[17]
-    assert knn_classify(clf, f.tau_m, f.phi) == f.label
+    tau, phi, labels = _toy_dataset()
+    clf = knn_train(tau, phi, labels, 1)
+    assert knn_classify(clf, tau[17], phi[17]) == labels[17]
 
 
 def test_knn_training_validation():
     data = _toy_dataset()
+    tau, phi, labels = data
     with pytest.raises(ValueError):
-        knn_train([], 1)
+        knn_train([], [], [], 1)
     with pytest.raises(ValueError):
-        knn_train(data, len(data) + 1)
-    single = [f for f in data if f.label == 0]
+        knn_train(*data, len(labels) + 1)
+    single = _rows(data, labels == 0)
     with pytest.raises(ValueError):
-        knn_train(single, 1)
+        knn_train(*single, 1)
     with pytest.raises(ValueError):
-        knn_train(data + [LabeledFeature(math.nan, 0.0, 0)], 1)
+        knn_train(np.append(tau, math.nan), np.append(phi, 0.0),
+                  np.append(labels, 0), 1)
 
 
-def test_labeled_feature_rejects_unknown_class():
-    with pytest.raises(ValueError):
-        LabeledFeature(1.0, 0.0, 30)
+def test_knn_train_and_evaluate_reject_unknown_labels():
+    """A label outside DEPTH_CLASSES is refused, not filed under the next
+    class up as a sorted-class lookup would."""
+    data = _toy_dataset()
+    clf = knn_train(*data, 6)
+    bad = tuple(np.append(col, x) for col, x in zip(data, (30.0, -0.5, 30)))
+    with pytest.raises(ValueError, match="30"):
+        knn_train(*bad, 6)
+    with pytest.raises(ValueError, match="30"):
+        evaluate(clf, *bad)
+
+
+def test_knn_train_and_evaluate_reject_mismatched_lengths():
+    data = _toy_dataset()
+    clf = knn_train(*data, 6)
+    tau, phi, labels = data
+    for cols in ((tau[:-1], phi, labels), (tau, phi[:-1], labels),
+                 (tau, phi, labels[:-1])):
+        with pytest.raises(ValueError, match="one length"):
+            knn_train(*cols, 6)
+        with pytest.raises(ValueError, match="one length"):
+            evaluate(clf, *cols)
 
 
 def test_knn_far_query_gets_deepest_class():
-    clf = knn_train(_toy_dataset(), 6)
+    clf = knn_train(*_toy_dataset(), 6)
     assert knn_classify(clf, 1000.0, -math.pi / 6) == 40
 
 
 def test_knn_matches_brute_force_oracle():
     data = _toy_dataset(spread=8.0)   # heavy class overlap provokes ties
-    clf = knn_train(data, 6)
+    clf = knn_train(*data, 6)
     rng = np.random.default_rng(11)
     for _ in range(1000):
         tau = float(rng.uniform(-10, 70))
@@ -291,24 +317,25 @@ def _tie_heavy_dataset(seed=5):
     """Points on a coarse grid with many exact duplicates and mixed labels:
     equal distances and tied votes are common."""
     rng = np.random.default_rng(seed)
-    data = [LabeledFeature(float(rng.integers(0, 4)),
-                           -math.pi / 6 * float(rng.integers(0, 3)),
-                           int(rng.choice(DEPTH_CLASSES)))
-            for _ in range(40)]
-    return data + data[:10]
+    tau, phi, labels = [], [], []
+    for _ in range(40):
+        tau.append(float(rng.integers(0, 4)))
+        phi.append(-math.pi / 6 * float(rng.integers(0, 3)))
+        labels.append(int(rng.choice(DEPTH_CLASSES)))
+    return tuple(np.array(col + col[:10]) for col in (tau, phi, labels))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 50])
 def test_knn_array_equals_scalar_calls_and_oracle_on_ties(k):
     data = _tie_heavy_dataset()
-    assert k <= len(data)
-    clf = knn_train(data, k)
+    assert k <= len(data[2])
+    clf = knn_train(*data, k)
     rng = np.random.default_rng(k)
     # exactly on training points, halfway between grid points, and random
-    tau = np.concatenate([[f.tau_m for f in data],
+    tau = np.concatenate([data[0],
                           np.arange(-0.5, 4.0, 0.5).repeat(3),
                           rng.uniform(-1, 4, 30)])
-    phi = np.concatenate([[f.phi for f in data],
+    phi = np.concatenate([data[1],
                           np.tile([0.0, -math.pi / 12, -math.pi / 4], 9),
                           rng.uniform(-math.pi / 2, 0, 30)])
     got = knn_classify(clf, tau, phi)
@@ -336,11 +363,12 @@ def _knn_cases(draw):
         phis = st.floats(-math.pi / 2, 0)
     labels = list(DEPTH_CLASSES) + draw(st.lists(
         st.sampled_from(DEPTH_CLASSES), min_size=n - 3, max_size=n - 3))
-    data = [LabeledFeature(draw(taus), draw(phis), label)
-            for label in draw(st.permutations(labels))]
+    labels = np.array(draw(st.permutations(labels)))
+    tau, phi = np.array([(draw(taus), draw(phis)) for _ in labels]).T
+    data = (tau, phi, labels)
     k = draw(st.integers(1, n))
     queries = draw(st.lists(st.tuples(taus, phis), min_size=1, max_size=12))
-    queries += [(f.tau_m, f.phi) for f in data[:3]]
+    queries += list(zip(data[0][:3], data[1][:3]))
     window = draw(st.sampled_from([1, 2, 5, percept.KNN_WINDOW]))
     chunk = draw(st.integers(1, 8))
     return data, k, queries, window, chunk
@@ -350,7 +378,7 @@ def _knn_cases(draw):
 @given(_knn_cases())
 def test_knn_equals_brute_force_oracle_on_random_datasets(case):
     data, k, queries, window, chunk = case
-    clf = knn_train(data, k)
+    clf = knn_train(*data, k)
     tau, phi = np.array(queries).T
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(percept, "KNN_WINDOW", window)
@@ -370,10 +398,11 @@ def test_knn_widens_past_a_tie_at_the_first_window_edge():
     # (the points at load 1.5 on the right are further).  The true
     # neighbors are the 3 earliest in training order, all 40 mm, outside
     # the first window; the window's own 3 are 0 mm.
-    run = [LabeledFeature(-1.0, 0.0, 40 if i < 3 else 0) for i in range(40)]
-    right = [LabeledFeature(1.5, -math.pi / 2, 20) for _ in range(30)]
-    data, k = run + right, 3
-    clf = knn_train(data, k)
+    data = (np.repeat([-1.0, 1.5], [40, 30]),
+            np.repeat([0.0, -math.pi / 2], [40, 30]),
+            np.repeat([40, 0, 20], [3, 37, 30]))
+    k = 3
+    clf = knn_train(*data, k)
     q = (np.array([0.0, 0.0]) - clf.mean) / clf.scale
     d2 = ((clf.features - q) ** 2).sum(axis=1)
     assert d2[:40].max() == d2[:40].min() < d2[40:].min()
@@ -390,8 +419,7 @@ def test_knn_widens_past_a_tie_at_the_first_window_edge():
 def test_knn_temporaries_stay_small():
     """A 3000-point, 3000-query pass allocates under 1 MiB at a time: its
     blocks, not the whole query set, size its temporaries."""
-    data = _toy_dataset(n_per_class=1000, spread=8.0)
-    clf = knn_train(data, 6)
+    clf = knn_train(*_toy_dataset(n_per_class=1000, spread=8.0), 6)
     rng = np.random.default_rng(8)
     tau = rng.uniform(-10, 70, 3000)
     phi = rng.uniform(-math.pi / 2, 0, 3000)
@@ -408,20 +436,20 @@ def test_knn_query_whose_distances_overflow_still_ends():
     """Every distance overflows to inf, so no window passes the stopping
     test; the full window ends the search, with the oracle's answer."""
     data = _toy_dataset()
-    clf = knn_train(data, 6)
+    clf = knn_train(*data, 6)
     with np.errstate(over="ignore"):
         want = _brute_force_knn(data, 6, 1e200, -0.5, clf.mean, clf.scale)
         assert knn_classify(clf, 1e200, -0.5) == want
 
 
 def test_knn_scalar_query_returns_int():
-    clf = knn_train(_toy_dataset(), 6)
+    clf = knn_train(*_toy_dataset(), 6)
     assert type(knn_classify(clf, 30.0, -0.5)) is int
     assert type(knn_classify(clf, np.float64(30.0), np.float64(-0.5))) is int
 
 
 def test_knn_rejects_bad_queries():
-    clf = knn_train(_toy_dataset(), 6)
+    clf = knn_train(*_toy_dataset(), 6)
     with pytest.raises(ValueError):
         knn_classify(clf, [1.0, 2.0], [0.0])
     with pytest.raises(ValueError):
@@ -430,20 +458,19 @@ def test_knn_rejects_bad_queries():
 
 def test_evaluate_matches_scalar_queries():
     data = _tie_heavy_dataset()
-    clf = knn_train(data[::2], 4)
-    confusion, _ = evaluate(clf, data)
+    clf = knn_train(*_rows(data, slice(None, None, 2)), 4)
+    confusion, _ = evaluate(clf, *data)
     want = np.zeros((3, 3), dtype=int)
-    for f in data:
-        pred = knn_classify(clf, f.tau_m, f.phi)
-        want[DEPTH_CLASSES.index(f.label), DEPTH_CLASSES.index(pred)] += 1
+    for tau, phi, label in zip(*data):
+        pred = knn_classify(clf, tau, phi)
+        want[DEPTH_CLASSES.index(label), DEPTH_CLASSES.index(pred)] += 1
     np.testing.assert_array_equal(confusion, want)
 
 
 def test_knn_scale_invariance():
-    data = _toy_dataset()
-    clf = knn_train(data, 6)
-    scaled = [LabeledFeature(f.tau_m * 7.5, f.phi, f.label) for f in data]
-    clf_s = knn_train(scaled, 6)
+    tau, phi, labels = _toy_dataset()
+    clf = knn_train(tau, phi, labels, 6)
+    clf_s = knn_train(tau * 7.5, phi, labels, 6)
     rng = np.random.default_rng(4)
     for _ in range(200):
         tau = float(rng.uniform(0, 60))
@@ -453,7 +480,7 @@ def test_knn_scale_invariance():
 
 def test_knn_retraining_deterministic():
     data = _toy_dataset()
-    a, b = knn_train(data, 6), knn_train(data, 6)
+    a, b = knn_train(*data, 6), knn_train(*data, 6)
     for tau in np.linspace(0, 60, 25):
         assert knn_classify(a, tau, -0.5) == knn_classify(b, tau, -0.5)
 
@@ -463,37 +490,41 @@ def test_knn_retraining_deterministic():
 
 def test_evaluate_perfect_on_training_set_k1():
     data = _toy_dataset()
-    clf = knn_train(data, 1)
-    confusion, acc = evaluate(clf, data)
+    clf = knn_train(*data, 1)
+    confusion, acc = evaluate(clf, *data)
     assert acc == 1.0
-    assert np.trace(confusion) == len(data)
+    assert np.trace(confusion) == len(data[2])
 
 
 def test_evaluate_row_sums_and_order_invariance():
     data = _toy_dataset(spread=10.0)
-    clf = knn_train(data[: len(data) // 2] + data[-len(data) // 2:], 6)
+    n = len(data[2])
+    clf = knn_train(*_rows(data, np.r_[:n // 2, n - n // 2:n]), 6)
     test = data
-    confusion, acc = evaluate(clf, test)
-    counts = [sum(1 for f in test if f.label == lab) for lab in DEPTH_CLASSES]
+    confusion, acc = evaluate(clf, *test)
+    counts = [int((test[2] == lab).sum()) for lab in DEPTH_CLASSES]
     np.testing.assert_array_equal(confusion.sum(axis=1), counts)
-    confusion2, acc2 = evaluate(clf, list(reversed(test)))
+    confusion2, acc2 = evaluate(clf, *_rows(test, slice(None, None, -1)))
     np.testing.assert_array_equal(confusion, confusion2)
     assert acc == acc2
 
 
 def test_evaluate_rejects_empty_test_set():
-    clf = knn_train(_toy_dataset(), 6)
+    clf = knn_train(*_toy_dataset(), 6)
     with pytest.raises(ValueError):
-        evaluate(clf, [])
+        evaluate(clf, [], [], [])
 
 
 # ---------------------------------------------------------------------------
 # Dataset CSV round trip
 
 def test_dataset_csv_round_trip(tmp_path):
-    rows = [("lower", -0.5, 31.25, 20, 0, 3), ("tail", 0.0, 4.0, 0, 1, 0)]
+    columns = dict(zip(DATASET_COLUMNS, (
+        np.array(["lower", "tail"]), np.array([-0.5, 0.0]),
+        np.array([31.25, 4.0]), np.array([20, 0]), np.array([0, 1]),
+        np.array([3, 0]))))
     path = tmp_path / "dataset.csv"
-    write_dataset(path, rows)
+    write_dataset(path, columns)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         back = list(reader)
