@@ -148,11 +148,13 @@ def _simulate(cfg, phi, terrain, n_cycles, seed, **kw):
                           seed=seed, **_shared(cfg), **kw)
 
 
-def _simulate_batch(cfg, trials, n_cycles):
+def _simulate_batch(cfg, trials, n_cycles, load_cfg):
     """``simulate_trials`` of independent ``trials`` under ``cfg``'s gait,
-    each at its own phase, in one lock-step batch: one TrialRecord per
-    trial; a failing trial raises its SimulationError."""
-    return simulate_trials(trials, n_cycles, cfg.gait(0.0), **_shared(cfg))
+    each at its own phase, in one lock-step batch through one load
+    pipeline of ``load_cfg``: one TrialRecord per trial; a failing trial
+    raises its SimulationError."""
+    return simulate_trials(trials, n_cycles, cfg.gait(0.0),
+                           load_cfg=load_cfg, **_shared(cfg))
 
 
 def _write_csv(path, header, rows):
@@ -251,8 +253,8 @@ def run_sweep(cfg: RunConfig, out_dir=None):
     cells = [(depth, phi) for depth in cfg.depths for phi in cfg.phi_grid]
     terrains = {depth: TerrainProfile.constant(depth) for depth in cfg.depths}
     records = _simulate_batch(
-        cfg, [Trial(phi, terrains[depth], load_cfg=cfg.load_cfg(noise_cov=0.0))
-              for depth, phi in cells], cfg.sweep_cycles)
+        cfg, [Trial(phi, terrains[depth]) for depth, phi in cells],
+        cfg.sweep_cycles, cfg.load_cfg(noise_cov=0.0))
     for (depth, phi), rec in zip(cells, records):
         for trial in range(cfg.sweep_trials):
             for c, s in enumerate(rec.cycle_speed_blc):
@@ -286,16 +288,19 @@ def run_sweep(cfg: RunConfig, out_dir=None):
 def run_model_torque(cfg: RunConfig, out_dir=None):
     """Median |tau~| per joint versus the drag/Coulomb blend ratio.
 
-    One noise-free cycle on flat ground per (phi, ratio), with the ratio
-    imposed on every belly element; all of them in one lock-step batch.
+    One noise-free cycle per (phi, ratio) on constant-depth terrain at
+    ratio * 40 mm, all of them in one lock-step batch, whose belly blend
+    ratio (ratio * 40) / 40 is the ratio to within one unit in the last
+    place (exactly at 0, 0.25, 0.5, 0.75 and 1).
     """
     rows = []
     table = {}
     cells = [(phi, rho) for phi in (0.0, -math.pi / 3) for rho in cfg.rho_grid]
-    flat = TerrainProfile.flat()
+    terrains = {rho: TerrainProfile.constant(MAX_DEPTH_MM * rho)
+                for rho in cfg.rho_grid}
     records = _simulate_batch(
-        cfg, [Trial(phi, flat, load_cfg=cfg.load_cfg(noise_cov=0.0),
-                    rho_override=rho) for phi, rho in cells], 1)
+        cfg, [Trial(phi, terrains[rho]) for phi, rho in cells], 1,
+        cfg.load_cfg(noise_cov=0.0))
     for (phi, rho), rec in zip(cells, records):
         medians = np.median(np.abs(rec.torques), axis=0)
         table[(phi, rho)] = medians
@@ -327,8 +332,8 @@ def generate_feature_dataset(cfg: RunConfig):
     terrains = {depth: TerrainProfile.constant(depth)
                 for depth in DEPTH_CLASSES}
     records = _simulate_batch(
-        cfg, [Trial(phi, terrains[depth], load_cfg=cfg.load_cfg(noise_cov=0.0))
-              for _, depth, _, phi in cells], cfg.classify_cycles)
+        cfg, [Trial(phi, terrains[depth]) for _, depth, _, phi in cells],
+        cfg.classify_cycles, cfg.load_cfg(noise_cov=0.0))
     medians = np.stack([percept.trial_cycle_medians(
         rec.torques, cfg.steps_per_cycle, cfg.load_cfg(),
         _trial_rngs(cfg.classify_trials_per_cell, cfg.seed, 100, di, pi))
@@ -477,8 +482,8 @@ def run_transition(cfg: RunConfig, out_dir=None, calibration=None):
         elif mode == "fixed_phi_-pi/3":
             phi_init = -math.pi / 3
         trials.append(Trial(phi_init, terrain, _subseed(cfg.seed, 400, mi),
-                            controller, cfg.load_cfg(bias=bias)))
-    records = _simulate_batch(cfg, trials, n)
+                            controller))
+    records = _simulate_batch(cfg, trials, n, cfg.load_cfg(bias=bias))
     for mode, rec in zip(TRANSITION_MODES, records):
         for c in range(n):
             x_pos = float(rec.centers[(c + 1) * cfg.steps_per_cycle, 0])

@@ -10,11 +10,11 @@ cycles and so yields the same medians bit for bit.  A K-nearest-neighbors
 model over (median load, phase offset) features then classifies bead
 depth into the {0, 20, 40} mm classes.
 
-The offline stages work on batches, bit for bit as one call per item:
-``trial_cycle_medians`` takes one generator per virtual trial and
-``knn_classify`` 1-D arrays of queries.  A feature set is 1-D arrays of
-one length: ``knn_train`` and ``evaluate`` take its ``tau_m``, ``phi`` and
-``labels``, and ``write_dataset`` writes its ``DATASET_COLUMNS`` as CSV.
+Every stage works on batches, bit for bit as one call per item: both
+load pipelines take one generator per trial and ``knn_classify`` 1-D
+arrays of queries.  A feature set is 1-D arrays of one length:
+``knn_train`` and ``evaluate`` take its ``tau_m``, ``phi`` and ``labels``,
+and ``write_dataset`` writes its ``DATASET_COLUMNS`` as CSV.
 """
 
 from __future__ import annotations
@@ -118,11 +118,6 @@ def rectify(samples):
     return np.abs(np.asarray(samples, dtype=float))
 
 
-def _raw_loads(tau, cfg, bias, rng):
-    """Raw stage: clipped load plus the zero offset, then sensor noise."""
-    return _noisy(torque_to_load(tau, cfg.gain, cfg.clip) + bias, cfg, rng)
-
-
 def _noisy(raw, cfg, rng):
     """Multiplicative sensor noise, when the sensor model has any."""
     if cfg.noise_cov > 0:
@@ -131,9 +126,9 @@ def _noisy(raw, cfg, rng):
 
 
 def _filtered(raw, cfg, y0=None):
-    """Filter stage over a (n, 3) raw block: low-pass and rectify in the
-    configured order.  Returns the processed block and the filter state to
-    carry into the next block."""
+    """Filter stage over a raw block whose first axis is time: low-pass
+    and rectify in the configured order.  Returns the processed block and
+    the filter state to carry into the next block."""
     if cfg.order == LOWPASS_THEN_RECTIFY:
         y = lowpass(raw, cfg.alpha, y0)
         return rectify(y), y[-1]
@@ -142,39 +137,47 @@ def _filtered(raw, cfg, y0=None):
 
 
 class OnlineLoadPipeline:
-    """Streaming load pipeline for all three body joints.
+    """Streaming load pipeline for all three body joints of a batch of
+    trials, one generator per trial; every array it takes or returns has a
+    leading trial axis.
 
     ``push_raw`` draws a block's raw samples as they come; ``cycle_median``
     filters a finished cycle's raw block, carrying the filter state from
     the previous cycle like a servo-side filter that never resets, so
-    cycles must be given in order.
+    cycles must be given in order.  Each trial's generator draws its bias
+    at construction and then its noise block by block, so a trial's
+    samples and medians equal those of a pipeline over its generator
+    alone, bit for bit.
     """
 
-    def __init__(self, cfg: LoadPipelineConfig, rng: np.random.Generator):
+    def __init__(self, cfg: LoadPipelineConfig, rngs):
         self.cfg = cfg
-        self.rng = rng
-        self._bias = _bias(cfg, rng)
+        self.rngs = list(rngs)
+        self._bias = [_bias(cfg, g) for g in self.rngs]
         self._y = None      # filter state after the last median's block
 
     def push_raw(self, tau):
-        """Feed one timestep of nondimensional torques (3,), or a block of
-        consecutive timesteps (m, 3); returns the noisy raw load samples.
-        The generator draws the same noise either way."""
-        return _raw_loads(tau, self.cfg, self._bias, self.rng)
+        """Feed one timestep of nondimensional torques per trial (n, 3), or
+        a block of consecutive timesteps per trial (n, m, 3); returns the
+        noisy raw load samples.  The generators draw the same noise either
+        way."""
+        load = torque_to_load(tau, self.cfg.gain, self.cfg.clip)
+        return np.stack([_noisy(x + b, self.cfg, g) for x, b, g
+                         in zip(load, self._bias, self.rngs, strict=True)])
 
     def cycle_median(self, raw):
-        """Per-joint median of one cycle's processed samples, from its
-        (m, 3) block of raw samples."""
-        proc, self._y = _filtered(raw, self.cfg, self._y)
+        """Per-trial, per-joint median (n, 3) of one cycle's processed
+        samples, from its (n, m, 3) block of raw samples."""
+        proc, self._y = _filtered(np.swapaxes(raw, 0, 1), self.cfg, self._y)
         return np.median(proc, axis=0)
 
 
 def trial_cycle_medians(torques, steps_per_cycle, cfg, rngs):
     """Full load pipeline applied offline to a (N, 3) torque history, one
     virtual trial per generator in ``rngs``: per-cycle medians (T, C, 3),
-    trial t equal to streaming the torques through OnlineLoadPipeline with
-    generator t.  Each generator draws its bias, then its noise, and the
-    filter stage runs once over the stacked (N, T, 3) block.
+    trial t equal to streaming the torques through an OnlineLoadPipeline
+    over generator t.  Each generator draws its bias, then its noise, and
+    the filter stage runs once over the stacked (N, T, 3) block.
     """
     torques = np.asarray(torques, dtype=float)
     n = len(torques)

@@ -17,8 +17,9 @@ Independent trials advance in lock-step over a leading batch axis: every
 kernel below takes leading batch axes (``...``), and a single trial is the
 batch of shape ``()``, whose kernel arrays are those of one trial alone;
 the recorded arrays hold one row per trial in either case.  A batch
-shares one gait, and so one clock and one stance pattern; each trial keeps
-its own body phase offset.  Each kernel works trial by trial in the same
+shares one gait, and so one clock and one stance pattern, and one load
+pipeline configuration; each trial keeps its own body phase offset,
+terrain, seed and controller.  Each kernel works trial by trial in the same
 arithmetic whatever the batch, so a trial's record does not depend on its
 batch-mates.  A failure ends the whole batch: the error names the failing
 trial, cycle and step.
@@ -36,7 +37,8 @@ from . import percept
 from .errors import DegenerateSupportError, SolverError
 from .gait import (BLEND_FRAC, BODY_JOINT_LIMIT, TWO_PI, BodyWave, LegId,
                    leg_contact_fraction)
-from .model import GroundModel, RobotModel, TerrainProfile, blend_ratio
+from .model import (MAX_DEPTH_MM, GroundModel, RobotModel, TerrainProfile,
+                    blend_ratio)
 
 RESIDUAL_TOL = 1e-8      # nondimensional acceptance bound per step
 NEWTON_TOL = 1e-11       # solver target, well inside the acceptance bound
@@ -47,18 +49,14 @@ ARMIJO_C1 = 1e-4         # sufficient-decrease fraction of the Armijo test
 STEPS_PER_CYCLE = 100    # integration steps per gait cycle
 
 
-def blend_groups(terrains, overrides):
-    """Trials grouped by where their belly blend ratios come from, given
-    one terrain and one blend-ratio override (or None) per trial:
-    ``{source: rows}``, with one entry per distinct terrain object, whose
-    ratios come from one depth lookup over its rows, and one per distinct
-    override."""
+def blend_groups(terrains):
+    """Trials grouped by terrain object, given one terrain per trial:
+    ``{terrain: rows}``, so that each terrain's belly blend ratios come
+    from one depth lookup over its rows."""
     groups = {}
-    for i, (ground, fixed) in enumerate(zip(terrains, overrides,
-                                            strict=True)):
-        groups.setdefault(ground if fixed is None else float(fixed),
-                          []).append(i)
-    return {source: np.array(rows) for source, rows in groups.items()}
+    for i, terrain in enumerate(terrains):
+        groups.setdefault(terrain, []).append(i)
+    return {terrain: np.array(rows) for terrain, rows in groups.items()}
 
 
 #: ``r[..., ::-1] * _ROT90`` turns vectors (x, y) into (-y, x).
@@ -95,28 +93,19 @@ def _frames(pose, alphas, robot):
     return headings, cs, seg_start
 
 
-def _center(seg_start, cs, robot):
+def body_center(pose, alphas, robot):
     """Body-centre position: the mean of the segment midpoints."""
+    _, cs, seg_start = _frames(pose, alphas, robot)
     mids = seg_start + 0.5 * robot.segment_length * -cs
     return mids.sum(axis=-2) / robot.n_segments
-
-
-def body_center(pose, alphas, robot):
-    _, cs, seg_start = _frames(pose, alphas, robot)
-    return _center(seg_start, cs, robot)
-
-
-def _behind(seg, robot):
-    """(n_segments - 1, n) mask whose row j marks the contacts tail-ward of
-    joint j + 1, the ones that joint bends."""
-    return seg >= np.arange(1, robot.n_segments)[:, None]
 
 
 @lru_cache(maxsize=None)
 def _layout(robot):
     """Fixed contact layout of ``robot``: the segment index, along-segment
-    offset and lateral offset (as (n, 1) columns) of each contact, and its
-    ``_behind`` mask.
+    offset and lateral offset (as (n, 1) columns) of each contact, and the
+    (n_segments - 1, n) mask whose row j marks the contacts tail-ward of
+    joint j + 1, the ones that joint bends.
 
     Belly elements come segment by segment, each segment's evenly spaced
     from its head end; then one foot per leg in ``LegId`` order.  The arrays
@@ -131,7 +120,8 @@ def _layout(robot):
                             [a.along for a in atts]])
     lateral = np.concatenate([np.zeros(n_seg * n_per),
                               [a.lateral for a in atts]])
-    layout = (seg, along[:, None], lateral[:, None], _behind(seg, robot))
+    behind = seg >= np.arange(1, n_seg)[:, None]
+    layout = (seg, along[:, None], lateral[:, None], behind)
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -147,10 +137,8 @@ class ContactSet:
     rho: np.ndarray       # (..., n) granular-drag blend weight
     normal: np.ndarray    # (..., n) normal load, N
     vshape: np.ndarray    # (..., n, 2) velocity from joint motion, body twist frozen
-    seg: np.ndarray       # (n,) segment index, for torque attribution
-    joints: np.ndarray    # (..., n_segments - 1, 2) joint positions
+    jac: np.ndarray       # (..., n_segments - 1, n, 2) joint Jacobian
     ref: np.ndarray       # (..., 2) twist reference point (head tip)
-    center: np.ndarray | None = None   # (..., 2) body centre, from build_contacts
 
 
 def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
@@ -175,7 +163,6 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     concerns in ``failed``.
     """
     _, cs, seg_start = _frames(pose, alphas, robot)
-    joints = seg_start[..., 1:, :]
     seg, along, lateral, behind = _layout(robot)
     n_belly = robot.n_segments * robot.belly_elements_per_segment
     batch = cs.shape[:-2]
@@ -188,11 +175,8 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     rho = np.zeros(batch + (len(seg),))
     belly_rho = rho[..., :n_belly].reshape(n_trials, n_belly)   # a view
     belly_x = pos[..., :n_belly, 0].reshape(n_trials, n_belly)
-    for source, rows in blend.items():
-        if isinstance(source, TerrainProfile):
-            belly_rho[rows] = blend_ratio(source.depth_at(belly_x[rows]))
-        else:
-            belly_rho[rows] = source
+    for terrain, rows in blend.items():
+        belly_rho[rows] = blend_ratio(terrain.depth_at(belly_x[rows]))
 
     # Local support: element i carries (W/n_belly)*(bf + rho_i*(1-f_gm-bf)),
     # so the belly bears bf*W on rigid ground and (1-f_gm)*W fully immersed.
@@ -218,14 +202,14 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
         belly *= np.divide(robot.weight, belly_total, out=np.ones(batch),
                            where=lifted)[..., None]
 
-    # Shape velocity: joint j spins every point behind it about its pivot.
-    r = pos[..., None, :, :] - joints[..., :, None, :]
+    # Joint Jacobian: joint j spins every point behind it about its pivot.
+    r = pos[..., None, :, :] - seg_start[..., 1:, None, :]
+    jac = r[..., ::-1] * _ROT90 * behind[..., None]
     rates = np.asarray(alpha_rates, dtype=float)[..., None, None]
-    vshape = (rates * (r[..., ::-1] * _ROT90) * behind[..., None]).sum(axis=-3)
+    vshape = (rates * jac).sum(axis=-3)
 
-    return ContactSet(pos, axis, rho, normal, vshape, seg, joints,
-                      np.array(np.asarray(pose)[..., :2], dtype=float),
-                      _center(seg_start, cs, robot))
+    return ContactSet(pos, axis, rho, normal, vshape, jac,
+                      np.array(np.asarray(pose)[..., :2], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +431,14 @@ def compute_joint_torques(contacts, forces, robot):
     """Nondimensional torque about each body joint from the resolved forces.
 
     Joint ``j`` carries the net moment of every reaction force acting
-    tail-ward of it, normalized by mu * m * g * BL.  Contacts ahead of a
-    joint enter its sum as exact zeros.
+    tail-ward of it, J^T F over the contact Jacobian, normalized by
+    mu * m * g * BL.  Contacts ahead of a joint enter its sum as exact
+    zeros.
     """
-    r = contacts.pos[..., None, :, :] - contacts.joints[..., :, None, :]
-    forces = forces[..., None, :, :]
-    moment = r[..., 0] * forces[..., 1] - r[..., 1] * forces[..., 0]
+    terms = contacts.jac * forces[..., None, :, :]
     scale = robot.friction * robot.weight * robot.body_length
-    return (moment * _behind(contacts.seg, robot)).sum(axis=-1) / scale
+    # x + y, as .sum(axis=-1) adds them, without its slow length-2 reduction
+    return (terms[..., 0] + terms[..., 1]).sum(axis=-1) / scale
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +475,13 @@ def default_initial_pose(robot):
 @dataclass
 class Trial:
     """What one trial of a lock-step batch keeps for itself: its body phase
-    offset, terrain, seed, per-cycle controller, load pipeline and
-    blend-ratio override (see ``simulate_trial`` for each)."""
+    offset, terrain, seed and per-cycle controller (see ``simulate_trial``
+    for each)."""
 
     phi: float
     terrain: TerrainProfile
     seed: int = 0
     controller: object = None
-    load_cfg: percept.LoadPipelineConfig | None = None
-    rho_override: float | None = None
 
 
 def _trial_error(err, trials, shape, where):
@@ -517,7 +499,7 @@ def _trial_error(err, trials, shape, where):
     return type(err)(f"{where}: {err}")
 
 
-def _integrate(trials, shape, params, n_cycles, robot, ground,
+def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
                steps_per_cycle, clamp_limit, blend_frac):
     """Advance ``trials`` in lock-step over leading batch ``shape`` (``()``
     for one trial alone), each at its own phase offset of the shared gait
@@ -527,7 +509,10 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
 
     The kernel state (pose, warm-start twist, the cycle's joint angles and
     rates) has the batch ``shape``; every record array has one row per
-    trial, into which a solo trial's kernel outputs broadcast.
+    trial, into which a solo trial's kernel outputs broadcast.  One load
+    pipeline over the trials' generators turns each finished cycle's
+    torques into loads and medians, and the body centres are computed from
+    the recorded poses and joint angles once the last step is taken.
     """
     robot = robot or RobotModel()
     ground = ground or GroundModel()
@@ -538,21 +523,19 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
     n = len(trials)
     omega = params.frequency
     dt = TWO_PI / omega / spc
-    blend = blend_groups([t.terrain for t in trials],
-                         [t.rho_override for t in trials])
+    blend = blend_groups([t.terrain for t in trials])
     waves = [BodyWave(replace(params, body_phase=t.phi),
                       clamp_limit=clamp_limit, blend_frac=blend_frac)
              for t in trials]
-    filts = [percept.OnlineLoadPipeline(
-        t.load_cfg or percept.LoadPipelineConfig(),
-        np.random.default_rng(t.seed)) for t in trials]
+    filt = percept.OnlineLoadPipeline(
+        load_cfg or percept.LoadPipelineConfig(),
+        [np.random.default_rng(t.seed) for t in trials])
 
     pose = np.broadcast_to(default_initial_pose(robot), shape + (3,))
     xi_prev = None
     max_residual, max_power = np.zeros(n), np.full(n, -np.inf)
     poses = np.empty((n, n_steps + 1, 3))
-    centers = np.empty((n, n_steps + 1, 2))
-    joint_angles = np.empty((n, n_steps, 3))
+    joint_angles = np.empty((n, n_steps + 1, 3))   # and the final angles
     torques = np.empty((n, n_steps, 3))
     loads = np.empty((n, n_steps, 3))
     cycle_median = np.empty((n, n_cycles, 3))
@@ -590,7 +573,6 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
             raise _trial_error(err, trials, shape, where) from err
 
         poses[:, k] = pose
-        centers[:, k] = contacts.center
         joint_angles[:, k] = alphas
         torques[:, k] = compute_joint_torques(contacts, F, robot)
         max_residual = np.maximum(max_residual, np.maximum(res, res_m))
@@ -599,26 +581,28 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
         xi_prev = xi_m
 
         if j == spc - 1:
-            lo, hi = c * spc, k + 1
-            for i, (trial, wave, filt) in enumerate(zip(trials, waves, filts)):
-                raw = filt.push_raw(torques[i, lo:hi])
-                loads[i, lo:hi] = raw
-                cycle_median[i, c] = filt.cycle_median(raw)
+            raw = filt.push_raw(torques[:, c * spc:k + 1])
+            loads[:, c * spc:k + 1] = raw
+            cycle_median[:, c] = filt.cycle_median(raw)
+            for i, (trial, wave) in enumerate(zip(trials, waves)):
                 cycle_phi[i, c] = wave.phi
                 if trial.controller is not None and c < n_cycles - 1:
                     wave.set_phase(trial.controller(cycle_median[i, c, 1]),
                                    omega * (t + dt))
 
-    alphas = np.reshape([w.angles_and_rates(n_steps * dt)[0] for w in waves],
-                        pose.shape)
     poses[:, n_steps] = pose
-    centers[:, n_steps] = body_center(pose, alphas, robot)
+    joint_angles[:, n_steps] = np.reshape(
+        [w.angles_and_rates(n_steps * dt)[0] for w in waves], pose.shape)
+    # One call per trial holds its temporaries to one trial's size.
+    centers = np.stack([body_center(p, a, robot)
+                        for p, a in zip(poses, joint_angles)])
     speed = (centers[:, spc::spc, 0]
              - centers[:, :n_steps:spc, 0]) / robot.body_length
     return [
         TrialRecord(
             times=np.arange(n_steps) * dt, poses=poses[i], centers=centers[i],
-            joint_angles=joint_angles[i], torques=torques[i], loads=loads[i],
+            joint_angles=joint_angles[i, :n_steps], torques=torques[i],
+            loads=loads[i],
             cycle_speed_blc=speed[i], cycle_median_load=cycle_median[i],
             cycle_phi=cycle_phi[i], steps_per_cycle=spc, seed=trial.seed,
             max_residual=float(max_residual[i]),
@@ -628,15 +612,15 @@ def _integrate(trials, shape, params, n_cycles, robot, ground,
 
 
 def simulate_trials(trials, n_cycles, params, robot=None, ground=None,
-                    steps_per_cycle=STEPS_PER_CYCLE,
+                    steps_per_cycle=STEPS_PER_CYCLE, load_cfg=None,
                     clamp_limit=BODY_JOINT_LIMIT, blend_frac=BLEND_FRAC):
     """Run independent ``Trial``s in lock-step, one batch axis over them.
 
     The gait ``params`` (and with it the clock), robot, ground, step count,
-    joint clamp and phase blend are shared; each trial runs the gait at its
-    own phase offset ``phi`` in place of ``params.body_phase``, and keeps
-    its own terrain, seed, generator, load pipeline, controller (called at
-    the shared cycle boundaries) and blend-ratio override.
+    load pipeline configuration, joint clamp and phase blend are shared;
+    each trial runs the gait at its own phase offset ``phi`` in place of
+    ``params.body_phase``, and keeps its own terrain, seed, generator and
+    controller (called at the shared cycle boundaries).
     Returns one TrialRecord per trial, in order, equal bit for bit to
     ``simulate_trial`` of that trial alone.  A failing trial ends the
     batch: its ``SolverError``/``DegenerateSupportError`` is raised, naming
@@ -644,7 +628,7 @@ def simulate_trials(trials, n_cycles, params, robot=None, ground=None,
     """
     trials = list(trials)
     return _integrate(trials, (len(trials),), params, n_cycles, robot, ground,
-                      steps_per_cycle, clamp_limit, blend_frac)
+                      load_cfg, steps_per_cycle, clamp_limit, blend_frac)
 
 
 def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
@@ -654,15 +638,22 @@ def simulate_trial(params, terrain, n_cycles, seed=0, robot=None, ground=None,
     """Run ``n_cycles`` gait cycles and record the full trial: the batch of
     ``simulate_trials`` of shape ``()``.
 
+    ``seed`` seeds the trial's sensor-noise generator, and ``load_cfg``
+    (default ``LoadPipelineConfig()``) configures its load pipeline.
     ``controller``, when given, is called once per cycle boundary with that
     cycle's median lower-joint load and must return the phase offset to
-    command for the next cycle.  Identical inputs and seed reproduce the
-    record bit for bit.  A failed solve raises ``SolverError``, and a step
-    with no supporting contact ``DegenerateSupportError``, naming its cycle
-    and step.
+    command for the next cycle.  ``rho_override``, when given, runs the
+    trial on constant-depth terrain at ``rho_override`` * 40 mm in place of
+    ``terrain``, whose blend ratio it is; a ratio outside [0, 1] raises a
+    ``ValueError`` before the first step.  It is kept for callers that
+    name it, such as perfbench's tracer.  Identical inputs and seed
+    reproduce the record bit for bit.  A failed solve raises
+    ``SolverError``, and a step with no supporting contact
+    ``DegenerateSupportError``, naming its cycle and step.
     """
-    trial = Trial(params.body_phase, terrain, seed, controller, load_cfg,
-                  rho_override)
-    (rec,) = _integrate([trial], (), params, n_cycles, robot, ground,
+    if rho_override is not None:
+        terrain = TerrainProfile.constant(MAX_DEPTH_MM * rho_override)
+    (rec,) = _integrate([Trial(params.body_phase, terrain, seed, controller)],
+                        (), params, n_cycles, robot, ground, load_cfg,
                         steps_per_cycle, clamp_limit, blend_frac)
     return rec

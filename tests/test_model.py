@@ -31,8 +31,7 @@ def one_contact_force(v, heading, normal_load, gm, mu, rho):
         pos=np.zeros((1, 2)),
         axis=np.array([[math.cos(heading), math.sin(heading)]]),
         rho=np.array([float(rho)]), normal=np.array([float(normal_load)]),
-        vshape=np.zeros((1, 2)), seg=np.zeros(1, dtype=int),
-        joints=np.zeros((3, 2)), ref=np.zeros(2),
+        vshape=np.zeros((1, 2)), jac=np.zeros((3, 1, 2)), ref=np.zeros(2),
     )
     return contact_forces(np.array([v], dtype=float), c, gm, mu)[0]
 
@@ -70,7 +69,7 @@ def test_belly_contacts_take_the_depth_blend():
     robot = RobotModel()
     ramp = TerrainProfile.ramp(-0.3, 0.6)      # 5 to 35 mm under the body
     c = build_contacts(np.array([0.225, 0.0, 0.0]), np.zeros(3), np.zeros(3),
-                       0.5, GaitParams(), robot, blend_groups([ramp], [None]))
+                       0.5, GaitParams(), robot, blend_groups([ramp]))
     n_belly = robot.n_segments * robot.belly_elements_per_segment
     belly = c.rho[:n_belly]
     np.testing.assert_array_equal(

@@ -110,20 +110,51 @@ def test_rectify():
 # Online pipeline vs offline pipeline
 
 def test_online_and_offline_pipelines_agree():
-    """Streaming and offline medians are equal to the last bit, in both
-    orders, with a drawn and with a pinned bias."""
+    """Streaming one timestep at a time and offline medians are equal to
+    the last bit, for two generators at once, in both orders, with a drawn
+    and with a pinned bias."""
     rng_t = np.random.default_rng(5)
     torques = 0.2 * rng_t.standard_normal((200, 3))
+    seeds = (77, 78)
     for order in (LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS):
         for bias in (None, (4.0, -2.5, 1.0)):
             cfg = LoadPipelineConfig(order=order, bias=bias)
-            online = OnlineLoadPipeline(cfg, np.random.default_rng(77))
-            raw = np.stack([online.push_raw(tau) for tau in torques])
+            online = OnlineLoadPipeline(
+                cfg, [np.random.default_rng(s) for s in seeds])
+            raw = np.stack([online.push_raw(np.stack([tau, tau]))
+                            for tau in torques], axis=1)
             med_online = np.stack([online.cycle_median(block)
-                                   for block in np.split(raw, 4)])
+                                   for block in np.split(raw, 4, axis=1)],
+                                  axis=1)
             med_offline = trial_cycle_medians(
-                torques, 50, cfg, [np.random.default_rng(77)])[0]
+                torques, 50, cfg, [np.random.default_rng(s) for s in seeds])
             np.testing.assert_array_equal(med_online, med_offline)
+
+
+@pytest.mark.parametrize("order", [LOWPASS_THEN_RECTIFY, RECTIFY_THEN_LOWPASS])
+@pytest.mark.parametrize("bias", [None, (4.0, -2.5, 1.0)])
+def test_online_pipeline_over_many_generators_equals_one_per_generator(
+        order, bias):
+    """A pipeline over n generators gives each trial the raw samples and
+    medians of a pipeline over its generator alone, bit for bit, over two
+    cycles, so each trial carries its own filter state."""
+    cfg = LoadPipelineConfig(order=order, bias=bias)
+    seeds = (3, 14, 15)
+    torques = 0.3 * np.random.default_rng(8).standard_normal(
+        (len(seeds), 2, 20, 3))
+    batch = OnlineLoadPipeline(cfg, [np.random.default_rng(s) for s in seeds])
+    alone = [OnlineLoadPipeline(cfg, [np.random.default_rng(s)])
+             for s in seeds]
+    for c in range(2):
+        raw = batch.push_raw(torques[:, c])
+        med = batch.cycle_median(raw)
+        assert raw.shape == (len(seeds), 20, 3)
+        assert med.shape == (len(seeds), 3)
+        for i, one in enumerate(alone):
+            raw_i = one.push_raw(torques[i:i + 1, c])
+            np.testing.assert_array_equal(raw[i:i + 1], raw_i)
+            np.testing.assert_array_equal(med[i:i + 1],
+                                          one.cycle_median(raw_i))
 
 
 # Unfiltered, noise-free pipeline: each load is |100 * tau|.
@@ -131,11 +162,11 @@ PLAIN = LoadPipelineConfig(gain=100.0, noise_cov=0.0, alpha=1.0)
 
 
 def test_cycle_median_conventions():
-    online = OnlineLoadPipeline(PLAIN, np.random.default_rng(0))
-    raw = np.stack([online.push_raw(np.full(3, x / 100.0))
-                    for x in (1.0, 2, 3, 4, 5, 1, 2, 3, 4)])
-    np.testing.assert_allclose(online.cycle_median(raw[:5]), 3.0)
-    np.testing.assert_allclose(online.cycle_median(raw[5:]), 2.5)
+    online = OnlineLoadPipeline(PLAIN, [np.random.default_rng(0)])
+    raw = np.stack([online.push_raw(np.full((1, 3), x / 100.0))
+                    for x in (1.0, 2, 3, 4, 5, 1, 2, 3, 4)], axis=1)
+    np.testing.assert_allclose(online.cycle_median(raw[:, :5]), 3.0)
+    np.testing.assert_allclose(online.cycle_median(raw[:, 5:]), 2.5)
 
 
 @given(st.lists(st.floats(min_value=-1, max_value=1), min_size=3,

@@ -32,9 +32,9 @@ def _params(phi, stance_offset=-math.pi / 4):
     return GaitParams(body_phase=phi, stance_offset=stance_offset)
 
 
-def _on(terrain, rho_override=None):
+def _on(terrain):
     """The blend groups of one trial on ``terrain``."""
-    return blend_groups([terrain], [rho_override])
+    return blend_groups([terrain])
 
 
 def _run(phi=-math.pi / 3, depth=40.0, n_cycles=2, seed=7,
@@ -88,10 +88,12 @@ def test_single_tail_tip_force_lever_arms():
     pose = np.array([0.45, 0.0, 0.0])
     alphas = np.zeros(3)
     tip = np.array([[0.0, 0.0]])   # tail tip of a straight body from x=0.45
+    # the tip is behind every joint: its Jacobian rows are r rotated by 90
+    r = tip - _frames(pose, alphas, ROBOT)[2][1:, None, :]
     contacts = ContactSet(
         pos=tip, axis=np.array([[1.0, 0.0]]), rho=np.zeros(1),
-        normal=np.zeros(1), vshape=np.zeros((1, 2)), seg=np.array([3]),
-        joints=_frames(pose, alphas, ROBOT)[2][..., 1:, :], ref=pose[:2],
+        normal=np.zeros(1), vshape=np.zeros((1, 2)),
+        jac=np.stack([-r[..., 1], r[..., 0]], axis=-1), ref=pose[:2],
     )
     forces = np.array([[0.0, 1.0]])
     tau = compute_joint_torques(contacts, forces, ROBOT)
@@ -120,9 +122,11 @@ def test_swing_feet_stay_in_the_layout_at_zero_load():
                               ROBOT, _on(TerrainProfile.constant(20.0)))
 
     first = contacts(0.0)
+    built = sim._layout.cache_info().misses
     for cycle_phase in np.linspace(0.0, TWO_PI, 24, endpoint=False):
         c = contacts(cycle_phase)
-        assert c.seg is first.seg          # the layout is built once
+        # the layout is built once
+        assert sim._layout.cache_info().misses == built
         np.testing.assert_array_equal(c.pos, first.pos)
         s = np.array([leg_contact_fraction(leg, cycle_phase, params)
                       for leg in LegId])
@@ -163,10 +167,10 @@ def test_no_foot_in_stance_fails_only_the_unsupported_trials(monkeypatch):
                        [-0.3, 0.2, 0.0], [0.1, 0.1, 0.1]])
     rates = np.array([[0.5, -0.3, 0.2], [0.0, 0.0, 0.0],
                       [-1.0, 0.4, 0.3], [0.2, 0.2, 0.2]])
-    # granular, flat and unsupported, flat with a drag share, bare beads
-    terrains = [TerrainProfile.constant(20.0), TerrainProfile.flat(),
-                TerrainProfile.flat(), TerrainProfile.constant(0.0)]
-    overrides = [None, 0.0, 0.5, None]
+    # granular, flat and unsupported, the first trial's terrain object
+    # again, bare beads
+    mid = TerrainProfile.constant(20.0)
+    terrains = [mid, TerrainProfile.flat(), mid, TerrainProfile.constant(0.0)]
     calls = []
 
     def counted(leg, t, g):
@@ -176,22 +180,20 @@ def test_no_foot_in_stance_fails_only_the_unsupported_trials(monkeypatch):
     monkeypatch.setattr(sim, "leg_contact_fraction", counted)
     with pytest.raises(DegenerateSupportError) as err:
         build_contacts(pose, alphas, rates, cycle_phase, HOP, robot,
-                       blend_groups(terrains, overrides))
+                       blend_groups(terrains))
     assert len(calls) == len(LegId)
     np.testing.assert_array_equal(err.value.failed,
                                   [False, True, False, True])
 
     keep = [0, 2]
     c = build_contacts(pose[keep], alphas[keep], rates[keep], cycle_phase,
-                       HOP, robot, blend_groups([terrains[i] for i in keep],
-                                                [overrides[i] for i in keep]))
+                       HOP, robot, blend_groups([terrains[i] for i in keep]))
     for row, i in enumerate(keep):
         solo = build_contacts(pose[i], alphas[i], rates[i], cycle_phase, HOP,
-                              robot, _on(terrains[i], overrides[i]))
+                              robot, _on(terrains[i]))
         for name, value in vars(solo).items():
-            if name != "seg":
-                np.testing.assert_array_equal(getattr(c, name)[row], value,
-                                              err_msg=name)
+            np.testing.assert_array_equal(getattr(c, name)[row], value,
+                                          err_msg=name)
         assert np.all(c.normal[row, N_BELLY:] == 0.0)
         assert c.normal[row, :N_BELLY].sum() == pytest.approx(robot.weight,
                                                               rel=1e-12)
@@ -275,6 +277,21 @@ def test_different_seeds_differ_only_in_noise():
     np.testing.assert_array_equal(a.poses, b.poses)
     np.testing.assert_array_equal(a.torques, b.torques)
     assert not np.array_equal(a.loads, b.loads)
+
+
+@pytest.mark.parametrize("rho", [1.5, -0.5])
+def test_out_of_range_blend_ratio_override_raises_before_the_first_step(
+        rho, monkeypatch):
+    """A blend-ratio override runs constant-depth terrain at rho * 40 mm, so
+    a ratio outside [0, 1] is refused before any step is built, instead of
+    a record with negative foot loads and positive power (1.5) or a
+    SolverError (-0.5)."""
+    steps = []
+    monkeypatch.setattr(sim, "build_contacts", lambda *args: steps.append(1))
+    with pytest.raises(ValueError, match="outside"):
+        simulate_trial(GaitParams(), TerrainProfile.flat(), 1,
+                       steps_per_cycle=20, rho_override=rho)
+    assert not steps
 
 
 def test_numerical_hygiene_flags():
@@ -395,9 +412,10 @@ BATCH_KW = dict(params=GaitParams(), robot=ROBOT, ground=GROUND,
 
 def _mixed_trials():
     """Fresh specs (controllers carry state) covering every kind of trial:
-    three depths, two ramps (the second puts the head at full depth, so that
-    trial's Coulomb contacts are a strict subset of the batch's), three
-    blend-ratio overrides and two controlled trials with different seeds."""
+    three depths (40 mm twice, with different seeds), two ramps (the second
+    puts the head at full depth, so that trial's Coulomb contacts are a
+    strict subset of the batch's) and two controlled trials with different
+    seeds."""
     def controlled(seed):
         return Trial(0.0, TerrainProfile.constant(40.0), seed=seed,
                      controller=PhaseController(ControllerParams(tau0=20.0),
@@ -408,14 +426,15 @@ def _mixed_trials():
         Trial(0.0, TerrainProfile.constant(40.0), seed=3),
         Trial(-math.pi / 4, TerrainProfile.ramp(0.02, 0.45), seed=4),
         Trial(-math.pi / 4, TerrainProfile.ramp(-0.3, 0.5), seed=4),
-        Trial(0.0, TerrainProfile.flat(), rho_override=0.0,
-              load_cfg=NOISEFREE),
-        Trial(-math.pi / 3, TerrainProfile.flat(), rho_override=0.5,
-              load_cfg=NOISEFREE),
-        Trial(-math.pi / 6, TerrainProfile.flat(), rho_override=1.0),
+        Trial(-math.pi / 6, TerrainProfile.constant(40.0)),
         controlled(5),
         controlled(6),
     ]
+
+
+#: Blend ratios 0 and 0.5 and the constant-depth terrains that give them,
+#: for a batch with a noise-free load pipeline.
+NOISEFREE_RATIOS = ((0.0, 0.0), (0.5, 20.0))
 
 
 def _solo(trial, n_cycles=3, **kw):
@@ -423,8 +442,7 @@ def _solo(trial, n_cycles=3, **kw):
     kw = {**BATCH_KW, **kw}
     params = dataclasses.replace(kw.pop("params"), body_phase=trial.phi)
     return simulate_trial(params, trial.terrain, n_cycles, seed=trial.seed,
-                          controller=trial.controller, load_cfg=trial.load_cfg,
-                          rho_override=trial.rho_override, **kw)
+                          controller=trial.controller, **kw)
 
 
 def _assert_same_record(a, b):
@@ -440,22 +458,36 @@ def test_batch_equals_solo_runs_bit_for_bit():
     for a, b in zip(solo, batch):
         _assert_same_record(a, b)
     # the controllers acted, and the two seeds drew different noise
-    assert batch[8].cycle_phi[-1] != 0.0
-    assert not np.array_equal(batch[8].loads, batch[9].loads)
+    assert batch[6].cycle_phi[-1] != 0.0
+    assert not np.array_equal(batch[6].loads, batch[7].loads)
     assert min(rec.clamp_events for rec in batch) > 0
+
+    # a second batch, through a noise-free load pipeline; a blend-ratio
+    # override of simulate_trial runs the same constant-depth terrain
+    trials = [Trial(phi, TerrainProfile.constant(depth))
+              for phi, (_, depth) in zip((0.0, -math.pi / 3),
+                                         NOISEFREE_RATIOS)]
+    quiet = simulate_trials(trials, 3, load_cfg=NOISEFREE, **BATCH_KW)
+    for trial, (rho, _), rec in zip(trials, NOISEFREE_RATIOS, quiet):
+        _assert_same_record(_solo(trial, load_cfg=NOISEFREE), rec)
+        _assert_same_record(
+            _solo(dataclasses.replace(trial, terrain=TerrainProfile.flat()),
+                  load_cfg=NOISEFREE, rho_override=rho), rec)
+    # the batch's pipeline is noise-free: each load is the clipped torque
+    for rec in quiet:
+        np.testing.assert_array_equal(rec.loads, np.clip(
+            NOISEFREE.gain * rec.torques, -NOISEFREE.clip, NOISEFREE.clip))
 
 
 def test_batch_looks_up_each_shared_terrain_once_per_half_step(monkeypatch):
     """Trials on one terrain object share its depth lookup, whether they sit
-    side by side in the batch or apart; a blend-ratio override needs none.
-    Each still equals its solo run bit for bit."""
+    side by side in the batch or apart: one lookup per distinct terrain
+    object.  Each still equals its solo run bit for bit."""
     deep, ramp = TerrainProfile.constant(40.0), TerrainProfile.ramp(0.02, 0.45)
-    flat = TerrainProfile.flat()
+    mid = TerrainProfile.constant(20.0)
     trials = [Trial(-math.pi / 6, deep, seed=1), Trial(0.0, deep, seed=2),
-              Trial(-math.pi / 3, ramp, seed=3),
-              Trial(0.0, flat, rho_override=0.5),
-              Trial(-math.pi / 4, ramp, seed=4),
-              Trial(-math.pi / 6, flat, rho_override=0.5)]
+              Trial(-math.pi / 3, ramp, seed=3), Trial(0.0, mid),
+              Trial(-math.pi / 4, ramp, seed=4), Trial(-math.pi / 6, mid)]
     lookups, half_steps = [], []
     depth_at, build = TerrainProfile.depth_at, sim.build_contacts
 
@@ -472,14 +504,14 @@ def test_batch_looks_up_each_shared_terrain_once_per_half_step(monkeypatch):
     batch = simulate_trials(trials, 2, **BATCH_KW)
     monkeypatch.undo()
     assert len(half_steps) == 2 * 2 * BATCH_KW["steps_per_cycle"]
-    assert lookups == [(deep, (2, N_BELLY)), (ramp, (2, N_BELLY))] * len(
-        half_steps)
+    assert lookups == [(deep, (2, N_BELLY)), (ramp, (2, N_BELLY)),
+                       (mid, (2, N_BELLY))] * len(half_steps)
     for trial, rec in zip(trials, batch):
         _assert_same_record(_solo(trial, 2), rec)
 
 
 def test_batch_of_one_equals_simulate_trial():
-    for i in (1, 8):
+    for i in (1, 6):
         (rec,) = simulate_trials([_mixed_trials()[i]], 3, **BATCH_KW)
         _assert_same_record(_solo(_mixed_trials()[i]), rec)
 
@@ -521,8 +553,7 @@ def test_degenerate_support_ends_the_batch_naming_its_trial():
     message it raises alone, which names its cycle and step."""
     robot = RobotModel(belly_weight_frac=0.0)
     flat = TerrainProfile.flat()
-    trials = [Trial(-0.5, flat, rho_override=0.5),
-              Trial(0.0, flat, rho_override=0.0),
+    trials = [Trial(-0.5, TerrainProfile.constant(20.0)), Trial(0.0, flat),
               Trial(-0.5, TerrainProfile.constant(20.0))]
     kw = dict(params=HOP, robot=robot)
     with pytest.raises(DegenerateSupportError) as batch_err:

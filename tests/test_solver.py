@@ -27,13 +27,13 @@ RES_SCALE = np.array([1.0, 1.0, 1.0 / ROBOT.body_length]) / (
 
 def _contacts(phi=-math.pi / 3, cycle_phase=0.7, terrain=DEEP,
               alpha_rates=(0.5, -0.3, 0.2), alphas=(0.2, -0.1, 0.15),
-              params=None, robot=ROBOT, rho_override=None):
+              params=None, robot=ROBOT):
     params = params or GaitParams(body_phase=phi, stance_offset=-math.pi / 4)
     pose = np.array([0.225, 0.0, 0.05])
     return build_contacts(pose, np.asarray(alphas, float),
                           np.asarray(alpha_rates, float), cycle_phase,
                           params, robot,
-                          blend_groups([terrain], [rho_override]))
+                          blend_groups([terrain]))
 
 
 def _grid_oracle(contacts, gm, robot, box_v=0.5, box_w=2.0, n=50, center=None):
@@ -138,7 +138,7 @@ def test_degenerate_support_raises():
         # cycle phase between the two short stance windows: no foot contact,
         # and a zero belly fraction leaves nothing to carry the weight
         _contacts(cycle_phase=2.0, params=params, robot=robot,
-                  rho_override=0.0)
+                  terrain=FLAT)
 
 
 def _potential(c, xi):
@@ -176,8 +176,8 @@ def test_potential_value_equals_the_closed_form_sum():
     does."""
     eps, mu = GROUND.slip_eps, ROBOT.friction
     rng = np.random.default_rng(3)
-    for terrain, rho in ((FLAT, None), (MID, None), (DEEP, None), (FLAT, 0.5)):
-        c = _contacts(terrain=terrain, rho_override=rho)
+    for terrain in (FLAT, MID, DEEP, TerrainProfile.constant(10.0)):
+        c = _contacts(terrain=terrain)
         pot = _Dissipation(c, GROUND, mu)
         r = c.pos - c.ref
         for xi in rng.normal(scale=(0.2, 0.2, 1.0), size=(5, 3)):
@@ -196,17 +196,15 @@ def test_potential_value_equals_the_closed_form_sum():
 
 def test_batched_potential_equals_each_trial_alone_bit_for_bit():
     """Psi, its gradient and its Hessian of each trial in a mixed batch
-    (flat, 20 mm, 40 mm and a blend-ratio override of 0.5) equal those of
-    the trial alone, bit for bit: every trial's Coulomb sums run over the
-    same contacts in the same order, whatever its batch-mates."""
-    specs = [(FLAT, None, 0.3), (MID, None, 1.9), (DEEP, None, 3.5),
-             (FLAT, 0.5, 5.2)]
-    solo = [_contacts(terrain=terrain, rho_override=rho, cycle_phase=phase,
+    (flat, 20 mm twice and 40 mm) equal those of the trial alone, bit for
+    bit: every trial's Coulomb sums run over the same contacts in the same
+    order, whatever its batch-mates."""
+    specs = [(FLAT, 0.3), (MID, 1.9), (DEEP, 3.5), (MID, 5.2)]
+    solo = [_contacts(terrain=terrain, cycle_phase=phase,
                       alphas=(0.2 - 0.1 * i, -0.1, 0.15 + 0.05 * i))
-            for i, (terrain, rho, phase) in enumerate(specs)]
-    fields = {f.name: np.stack([getattr(c, f.name) for c in solo])
-              for f in dataclasses.fields(solo[0]) if f.name != "seg"}
-    batch = ContactSet(seg=solo[0].seg, **fields)
+            for i, (terrain, phase) in enumerate(specs)]
+    batch = ContactSet(**{f.name: np.stack([getattr(c, f.name) for c in solo])
+                          for f in dataclasses.fields(solo[0])})
     assert sorted({float(r) for c in solo for r in c.rho}) == [0.0, 0.5, 1.0]
     xis = np.random.default_rng(5).normal(scale=(0.2, 0.2, 1.0), size=(4, 3))
     pot = _Dissipation(batch, GROUND, ROBOT.friction)
