@@ -9,9 +9,11 @@ extracted post hoc from the resolved element forces.
 Each contact force is minus the velocity gradient of a convex dissipation
 potential and contact velocities are affine in the twist, so the balance
 minimises a strictly convex function of the twist.  The solver runs damped
-Newton on it, with no fallback.  Both shares of the potential use one
-contact Jacobian, the rows B_i mapping the twist to contact i's velocity;
-the drag share is quadratic in the twist and is summed once per solve.
+primal-dual Newton on it, with no fallback: a dual per contact stands for
+the Coulomb force direction, so a slipping contact's step does not
+overshoot.  Both shares of the potential use one contact Jacobian, the rows
+B_i mapping the twist to contact i's velocity; the drag share is quadratic
+in the twist and is summed once per solve.
 
 Independent trials advance in lock-step over a leading batch axis: every
 kernel below takes leading batch axes (``...``), and a single trial is the
@@ -45,6 +47,7 @@ NEWTON_TOL = 1e-11       # solver target, well inside the acceptance bound
 MAX_NEWTON_ITERS = 200   # the potential falls at every step, so more is safe
 MAX_HALVINGS = 60        # line-search step halvings per Newton step
 ARMIJO_C1 = 1e-4         # sufficient-decrease fraction of the Armijo test
+DUAL_RADIUS = 0.99       # the Coulomb dual is kept inside this disc (< 1)
 
 STEPS_PER_CYCLE = 100    # integration steps per gait cycle
 
@@ -250,6 +253,7 @@ def _residual(xi, c, gm, robot):
 
 
 _EYE3 = np.eye(3)
+_TINY = np.finfo(float).tiny
 
 
 class _Dissipation:
@@ -270,8 +274,19 @@ class _Dissipation:
     per trial, x components then y components, ``map @ xi + w``, and a
     contact with rho = 1 weighs 0.  Its column set is the layout's, not the
     batch's, so each trial's sums have the same length and order alone or
-    in any batch, and Psi, its gradient and its Hessian equal the trial's
-    own bit for bit.
+    in any batch, and Psi, its gradient, the Newton matrix and the dual
+    update equal the trial's own bit for bit.
+
+    The Coulomb share of Psi is a weighted sum of smoothed norms |v_i|.
+    Once a contact slips (s >> eps) its Hessian keeps only eps/(s + eps) of
+    the radial curvature, so primal Newton overshoots.  The solver keeps
+    instead a dual z_i ~ v_i/(s_i + eps), the contact's force direction,
+    in rows laid out as v, builds its Newton matrix from it
+    (``derivatives``) and updates it by the linearisation of
+    (s + eps) z = v after each step (``dual``), as in primal-dual Newton
+    for total variation (Chan, Golub & Mulet, SIAM J. Sci. Comput. 20,
+    1999) and for sums of Euclidean norms (Andersen, Christiansen, Conn &
+    Overton, SIAM J. Sci. Comput. 22, 2000).
     """
 
     def __init__(self, c, gm, mu):
@@ -322,21 +337,49 @@ class _Dissipation:
         quad = np.vecdot(xi, 0.5 * np.matvec(self.K, xi) + self.k0)
         return psi + quad + self.c0, v, s
 
-    def derivatives(self, xi, v, s):
-        """Gradient and Hessian of Psi at ``xi``, from ``value(xi)``'s v, s.
+    def derivatives(self, xi, v, s, z):
+        """Gradient of Psi at ``xi`` and the primal-dual Newton matrix, from
+        ``value(xi)``'s v, s and the dual rows ``z`` (laid out as v).
 
-        With u_i = B_i^T v_i, k = m/(s + eps) and c = k/((s + eps) s), 0 at
-        s = 0, the Coulomb share adds sum k_i u_i to the gradient and
-        sum k_i B_i^T B_i - c_i u_i u_i^T to the Hessian.
+        With u_i = B_i^T v_i and k = m/(s + eps), the Coulomb share adds
+        sum k_i u_i to the gradient and sum k_i B_i^T B_i
+        - (k_i/s_i) (B_i^T z_i) u_i^T to the matrix, the last term 0 at
+        s = 0: the linearisation of the share's gradient written with its
+        dual z_i = v_i/(s_i + eps).  At that z it is the Hessian of Psi;
+        for any |z_i| < 1 its symmetric part is positive definite, so its
+        Newton step descends.
         """
-        se = s + self.eps
-        k = self.m / se
-        c = np.divide(k, se * s, out=np.zeros_like(s), where=s > 0)
+        n = self.n
+        k = self.m / (s + self.eps)
+        # v = 0, so u = 0, where s = 0: the last term vanishes there for
+        # any finite c
+        c = k / np.where(s > 0, s, 1.0)
         uv = self.map * v[..., None]
-        u = uv[..., :self.n, :] + uv[..., self.n:, :]
+        u = uv[..., :n, :] + uv[..., n:, :]
+        uz = self.map * z[..., None]
+        uz = uz[..., :n, :] + uz[..., n:, :]
+        uz *= c[..., None]
         grad = np.matvec(self.K, xi) + self.k0 + np.vecmat(k, u)
         hess = np.vecmat(k, self.btb).reshape(grad.shape + (3,))
-        return grad, self.K + hess - (u * c[..., None]).mT @ u
+        hess += self.K
+        hess -= uz.mT @ u
+        return grad, hess
+
+    def dual(self, v, s, z, v_new):
+        """Dual rows after a step from velocity rows ``v`` (speeds ``s``,
+        dual ``z``) to ``v_new``: the linearised update of
+        (s + eps) z = v, z <- (v_new - a z)/(s + eps) with a = v.v_new/s - s,
+        pulled back onto the disc |z_i| <= DUAL_RADIUS where it leaves it."""
+        n = self.n
+        vv = v * v_new
+        # v = 0 where s = 0: the max keeps 0/0 out, and a = 0 there
+        a = (vv[..., :n] + vv[..., n:]) / np.maximum(s, _TINY) - s
+        t = v_new - np.concatenate((a, a), axis=-1) * z
+        # t/d is t/(s + eps), or t/|t| * DUAL_RADIUS if that is shorter
+        d = np.maximum(np.hypot(t[..., :n], t[..., n:]) / DUAL_RADIUS,
+                       s + self.eps)
+        t /= np.concatenate((d, d), axis=-1)
+        return t
 
 
 def _newton_steps(hess, grad):
@@ -358,27 +401,32 @@ def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
     strictly convex potential Psi of ``_Dissipation``, whose gradient is
     minus the residual up to row scaling.
 
-    Damped Newton from ``xi0`` halves each step until it passes an Armijo
-    test on Psi, so Psi falls at every step and the solve converges from any
-    start, with no fallback.  Each trial of a batch keeps its own active
-    flag and step length: it stops stepping once converged, after a
-    singular Hessian or after MAX_HALVINGS failed halvings, so its iterates
-    are those of its solve alone; all active trials share one batched
-    linear solve.  A final ``_residual`` pass gives the returned
-    ``(xi, F, v, residual)``; a residual above RESIDUAL_TOL, or NaN, raises
-    a ``SolverError`` whose ``residual`` and ``failed`` cover the batch.
+    Damped primal-dual Newton from ``xi0`` and the dual z = 0 (see
+    ``_Dissipation``) halves each step until it passes an Armijo test on
+    Psi.  The Newton matrix's symmetric part is positive definite while
+    every |z_i| < 1, which the dual update keeps, so each step descends:
+    Psi falls at every step and the solve converges from any start, with
+    no fallback.  Convergence is tested on the gradient of Psi alone.
+    Each trial of a batch keeps its own active flag, step length and dual:
+    it stops stepping once converged, after a singular Newton matrix or
+    after MAX_HALVINGS failed halvings, so its iterates are those of its
+    solve alone; all active trials share one batched linear solve.  A
+    final ``_residual`` pass gives the returned ``(xi, F, v, residual)``; a
+    residual above RESIDUAL_TOL, or NaN, raises a ``SolverError`` whose
+    ``residual`` and ``failed`` cover the batch.
     """
     batch = contacts.ref.shape[:-1]
     xi = np.zeros(batch + (3,)) if xi0 is None else np.array(xi0, dtype=float)
     pot = _Dissipation(contacts, gm, robot.friction)
     scale = _residual_scale(robot)
     psi, v, s = pot.value(xi)
+    z = np.zeros_like(v)
     # Per-trial flags and step lengths; scalars for a single trial.  Flags
     # are tested with any()/all() over ``.flat``, which is cheap for both.
     active = np.ones(batch, dtype=bool)[()]
     full_step = np.ones(batch)[()]
     for _ in range(MAX_NEWTON_ITERS):
-        grad, hess = pot.derivatives(xi, v, s)
+        grad, hess = pot.derivatives(xi, v, s, z)
         # converged, or NaN, which the final check rejects
         active = active & (np.abs(scale * grad).max(axis=-1) >= NEWTON_TOL)
         if not any(active.flat):
@@ -402,11 +450,12 @@ def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
             trial = xi + lam[..., None] * step
         if any(pending.flat) or not everyone:
             # Trials without sufficient decrease stop where they are; a
-            # stopped trial's psi, v and s feed only rows its flag masks.
+            # stopped trial's psi, v, s and z feed only rows its flag masks.
             active = active & ~pending
             xi = np.where(active[..., None], trial, xi)
         else:
             xi = trial
+        z = pot.dual(v, s, z, v_t)
         psi, v, s = psi_t, v_t, s_t
 
     res, F, v = _residual(xi, contacts, gm, robot)

@@ -10,9 +10,10 @@ import pytest
 from granugait.errors import DegenerateSupportError
 from granugait.gait import TWO_PI, GaitParams
 from granugait.model import GroundModel, RobotModel, TerrainProfile
+from granugait import sim
 from granugait.sim import (
-    RESIDUAL_TOL, ContactSet, _Dissipation, _newton_steps, _residual,
-    blend_groups, build_contacts, solve_quasistatic_velocity,
+    DUAL_RADIUS, RESIDUAL_TOL, ContactSet, _Dissipation, _newton_steps,
+    _residual, blend_groups, build_contacts, solve_quasistatic_velocity,
 )
 
 ROBOT = RobotModel()
@@ -141,10 +142,26 @@ def test_degenerate_support_raises():
                   terrain=FLAT)
 
 
+def _primal_dual(pot, v, s):
+    """The dual rows z = v/(s + eps) at which the Newton matrix is the
+    Hessian of Psi."""
+    return v / (np.concatenate((s, s), axis=-1) + pot.eps)
+
+
 def _potential(c, xi):
+    """Psi, its gradient and its Hessian at ``xi``: the Newton matrix at
+    the dual z = v/(s + eps)."""
     pot = _Dissipation(c, GROUND, ROBOT.friction)
     psi, v, s = pot.value(xi)
-    return (psi,) + pot.derivatives(xi, v, s)
+    return (psi,) + pot.derivatives(xi, v, s, _primal_dual(pot, v, s))
+
+
+def _disc(rng, shape, radius):
+    """Dual rows (x components, then y) drawn uniformly in directions,
+    each with |z_i| < radius."""
+    angle = rng.uniform(0, TWO_PI, shape)
+    r = radius * rng.uniform(0, 1, shape)
+    return np.concatenate((r * np.cos(angle), r * np.sin(angle)), axis=-1)
 
 
 def test_analytic_hessian_matches_finite_difference():
@@ -195,10 +212,10 @@ def test_potential_value_equals_the_closed_form_sum():
 
 
 def test_batched_potential_equals_each_trial_alone_bit_for_bit():
-    """Psi, its gradient and its Hessian of each trial in a mixed batch
-    (flat, 20 mm twice and 40 mm) equal those of the trial alone, bit for
-    bit: every trial's Coulomb sums run over the same contacts in the same
-    order, whatever its batch-mates."""
+    """Psi, its gradient, its Newton matrix and the dual update of each
+    trial in a mixed batch (flat, 20 mm twice and 40 mm) equal those of the
+    trial alone, bit for bit: every trial's Coulomb sums run over the same
+    contacts in the same order, whatever its batch-mates."""
     specs = [(FLAT, 0.3), (MID, 1.9), (DEEP, 3.5), (MID, 5.2)]
     solo = [_contacts(terrain=terrain, cycle_phase=phase,
                       alphas=(0.2 - 0.1 * i, -0.1, 0.15 + 0.05 * i))
@@ -206,40 +223,56 @@ def test_batched_potential_equals_each_trial_alone_bit_for_bit():
     batch = ContactSet(**{f.name: np.stack([getattr(c, f.name) for c in solo])
                           for f in dataclasses.fields(solo[0])})
     assert sorted({float(r) for c in solo for r in c.rho}) == [0.0, 0.5, 1.0]
-    xis = np.random.default_rng(5).normal(scale=(0.2, 0.2, 1.0), size=(4, 3))
+    rng = np.random.default_rng(5)
+    xis = rng.normal(scale=(0.2, 0.2, 1.0), size=(4, 3))
+    steps = rng.normal(scale=(0.02, 0.02, 0.1), size=(4, 3))
     pot = _Dissipation(batch, GROUND, ROBOT.friction)
+    zs = _disc(rng, (4, pot.n), 0.999)
     psi, v, s = pot.value(xis)
-    grad, hess = pot.derivatives(xis, v, s)
+    grad, hess = pot.derivatives(xis, v, s, zs)
+    _, v_new, _ = pot.value(xis + steps)
+    z_new = pot.dual(v, s, zs, v_new)
     for i, c in enumerate(solo):
         alone = _Dissipation(c, GROUND, ROBOT.friction)
         psi_i, v_i, s_i = alone.value(xis[i])
-        grad_i, hess_i = alone.derivatives(xis[i], v_i, s_i)
+        grad_i, hess_i = alone.derivatives(xis[i], v_i, s_i, zs[i])
+        _, v_new_i, _ = alone.value(xis[i] + steps[i])
         assert psi[i] == psi_i
         np.testing.assert_array_equal(v[i], v_i)
         np.testing.assert_array_equal(s[i], s_i)
         np.testing.assert_array_equal(grad[i], grad_i)
         np.testing.assert_array_equal(hess[i], hess_i)
+        np.testing.assert_array_equal(
+            z_new[i], alone.dual(v_i, s_i, zs[i], v_new_i))
+
+
+def _stopped_foot():
+    """40 mm contacts with joint rates zero, the twist (ry, -rx, 1) that
+    stops exactly the loaded foot at lever arm (rx, ry), and that foot."""
+    c = _contacts(terrain=DEEP, alpha_rates=(0.0, 0.0, 0.0))
+    foot = int(np.flatnonzero(c.normal)[-1])
+    rx, ry = c.pos[foot] - c.ref
+    return c, np.array([ry, -rx, 1.0]), foot
 
 
 def test_derivatives_at_a_stopped_loaded_contact_are_finite():
-    """With joint rates zero, the twist (ry, -rx, 1) stops exactly the
-    contact at lever arm (rx, ry): its speed is 0, and its Hessian term
-    -c u u^T, with c = k/((s + eps) s), is bounded there.  Among the 40 mm
-    contacts, whose belly has rho = 1 and Coulomb weight 0, the Hessian is
-    finite and symmetric, with no RuntimeWarning, and matches central
-    differences of the gradient."""
-    c = _contacts(terrain=DEEP, alpha_rates=(0.0, 0.0, 0.0))
-    foot = int(np.flatnonzero(c.normal)[-1])
+    """The stopped foot's speed is 0, and its matrix term
+    -(k/s) (B^T z)(B^T v)^T is 0 there, for the dual z = v/(s + eps) as for
+    any other.  Among the 40 mm contacts, whose belly has rho = 1 and
+    Coulomb weight 0, the Hessian is finite and symmetric, with no
+    RuntimeWarning, and matches central differences of the gradient."""
+    c, xi, foot = _stopped_foot()
     assert c.rho[foot] == 0.0 and (c.rho == 1.0).any()
-    rx, ry = c.pos[foot] - c.ref
-    xi = np.array([ry, -rx, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         pot = _Dissipation(c, GROUND, ROBOT.friction)
         _, v, s = pot.value(xi)
-        grad, hess = pot.derivatives(xi, v, s)
+        grad, hess = pot.derivatives(xi, v, s, _primal_dual(pot, v, s))
+        _, other = pot.derivatives(
+            xi, v, s, _disc(np.random.default_rng(2), pot.n, 0.999))
     assert s[foot] == 0.0 and np.count_nonzero(s == 0.0) == 1
     assert np.isfinite(grad).all() and np.isfinite(hess).all()
+    assert np.isfinite(other).all()
     np.testing.assert_allclose(hess, hess.T, rtol=1e-12,
                                atol=1e-12 * np.abs(hess).max())
     # The curvature changes over |v| ~ slip_eps, so the step is small.
@@ -248,6 +281,68 @@ def test_derivatives_at_a_stopped_loaded_contact_are_finite():
                    / (2 * h) for dx in h * np.eye(3)], axis=-1)
     np.testing.assert_allclose(hess, fd, rtol=0,
                                atol=1e-4 * np.abs(hess).max())
+
+
+def test_newton_matrix_has_a_positive_definite_symmetric_part():
+    """For duals with every |z_i| < 1 the symmetric part of the Newton
+    matrix is positive definite, so the Newton step descends on Psi."""
+    rng = np.random.default_rng(17)
+    for terrain in (FLAT, MID, DEEP):
+        c = _contacts(terrain=terrain)
+        pot = _Dissipation(c, GROUND, ROBOT.friction)
+        for xi in rng.normal(scale=(0.2, 0.2, 1.0), size=(10, 3)):
+            _, v, s = pot.value(xi)
+            for radius in (0.5, 0.99, 1 - 1e-9):
+                grad, hess = pot.derivatives(xi, v, s,
+                                             _disc(rng, pot.n, radius))
+                assert np.linalg.eigvalsh(0.5 * (hess + hess.T)).min() > 0
+                assert grad @ _newton_steps(hess, grad) < 0
+
+
+def test_dual_update_stays_inside_the_unit_disc_without_warnings():
+    """From any dual in the disc, the update lands inside |z_i| <=
+    DUAL_RADIUS < 1, with no RuntimeWarning: at a contact at rest
+    (s = 0, the stopped foot), for every contact at a static state
+    (all s = 0) and on steps of every size."""
+    assert DUAL_RADIUS < 1
+    rng = np.random.default_rng(23)
+    c, xi, foot = _stopped_foot()
+    static = _contacts(alpha_rates=(0.0, 0.0, 0.0), terrain=FLAT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for contacts, start, at_rest in ((c, xi, [foot]),
+                                         (static, np.zeros(3), slice(None))):
+            pot = _Dissipation(contacts, GROUND, ROBOT.friction)
+            _, v, s = pot.value(start)
+            assert (s[at_rest] == 0.0).all()
+            for scale in (0.0, 1e-12, 1e-3, 1.0, 1e3):
+                _, v_new, _ = pot.value(start + rng.normal(scale=scale,
+                                                           size=3))
+                z = pot.dual(v, s, _disc(rng, pot.n, 0.999), v_new)
+                assert np.isfinite(z).all()
+                assert (np.hypot(z[:pot.n], z[pot.n:])
+                        <= DUAL_RADIUS * (1 + 1e-15)).all()
+
+
+def test_dual_update_is_the_linearised_dual():
+    """Away from the disc's rim, the update from z = v/(s + eps) is the
+    linearisation of (s + eps) z = v: over a step of size h it misses
+    v_new/(s_new + eps) by O(h^2)."""
+    rng = np.random.default_rng(29)
+    # At rest but for a slow twist, the speeds are of order slip_eps.
+    c = _contacts(alpha_rates=(0.0, 0.0, 0.0), terrain=FLAT)
+    pot = _Dissipation(c, GROUND, ROBOT.friction)
+    xi = np.array([2e-5, -1e-5, 1e-4])
+    _, v, s = pot.value(xi)
+    z = _primal_dual(pot, v, s)
+    direction = rng.normal(scale=(1e-5, 1e-5, 1e-4), size=3)
+    misses = []
+    for h in (0.2, 0.1):
+        _, v_new, s_new = pot.value(xi + h * direction)
+        target = _primal_dual(pot, v_new, s_new)
+        assert np.hypot(target[:pot.n], target[pot.n:]).max() < DUAL_RADIUS
+        misses.append(np.abs(pot.dual(v, s, z, v_new) - target).max())
+    assert 0 < misses[1] < 0.3 * misses[0]
 
 
 def test_potential_gradient_is_minus_scaled_residual():
@@ -288,3 +383,28 @@ def test_normal_loads_sum_to_weight():
         c = _contacts(terrain=terrain)
         assert float(c.normal.sum()) == pytest.approx(ROBOT.weight, rel=1e-9)
         assert np.all(c.normal >= 0)
+
+
+def test_flat_ground_solves_take_at_most_ten_potential_evaluations(
+        monkeypatch):
+    """Solver work on flat ground, counted from outside: over a solo 0 mm
+    trial (1 cycle, 20 steps per cycle) the mean number of Psi
+    evaluations per solve is at most 10.  Primal Newton took about 19,
+    its steps overshooting once a contact slips."""
+    calls = {"psi": 0, "solves": 0}
+    value, solve = _Dissipation.value, sim.solve_quasistatic_velocity
+
+    def counted_value(self, xi):
+        calls["psi"] += 1
+        return value(self, xi)
+
+    def counted_solve(*args, **kwargs):
+        calls["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(_Dissipation, "value", counted_value)
+    monkeypatch.setattr(sim, "solve_quasistatic_velocity", counted_solve)
+    sim.simulate_trial(GaitParams(body_phase=-math.pi / 6), FLAT, n_cycles=1,
+                       steps_per_cycle=20)
+    assert calls["solves"] == 2 * 20
+    assert calls["psi"] / calls["solves"] <= 10
