@@ -4,12 +4,20 @@
 
 SRC is the ``src`` directory of a granugait tree.  The script imports that
 tree's package, wraps ``sim.solve_quasistatic_velocity`` and the
-``_Dissipation`` methods ``value`` (one Psi evaluation) and
-``derivatives`` (one gradient and Newton matrix) from outside, and prints
-a Markdown table of calls per solve:
+``_Dissipation`` methods from outside, and prints a Markdown table of
+calls per solve in three columns:
+
+- gradient calls (``gradient``);
+- Newton-matrix calls (``newton_matrix``);
+- Psi calls (``value``).
+
+A tree whose ``_Dissipation`` has one ``derivatives`` method, for the
+gradient and the Newton matrix together, counts each of its calls in
+both columns.  The regimes are:
 
 - one solo trial at 0, 20 and 40 mm (``configs/default.ini`` settings,
-  2 cycles at phase offset -pi/6);
+  2 cycles at phase offset -pi/6), each split into its cycle 0 and its
+  later cycles;
 - the transition batch of three trials at 20 steps per cycle over
   25 cycles, the size the benchmark's ``adaptive`` workload runs.
 
@@ -24,50 +32,65 @@ import math
 import os
 import sys
 
-REGIMES = ("0 mm solo", "20 mm solo", "40 mm solo", "transition batch")
+SOLO_DEPTHS = (0.0, 20.0, 40.0)
+SOLO_CYCLES = 2
+COLUMNS = (("grad", "gradient"), ("matrix", "Newton-matrix"), ("psi", "Psi"))
+
+
+def _solo(depth):
+    return f"{depth:.0f} mm solo"
+
+
+REGIMES = tuple(f"{_solo(d)}, {part}" for d in SOLO_DEPTHS
+                for part in ("cycle 0", "cycles 1+")) + ("transition batch",)
 
 
 def count_calls(src):
-    """``{regime: (gradient calls, Psi calls)}``, each a list with one
-    count per solve."""
+    """``{regime: {column: counts}}``, each list of counts with one entry
+    per solve, for the columns of ``COLUMNS``."""
     sys.path.insert(0, os.path.abspath(src))
     from granugait import harness, sim
     from granugait.config import RunConfig
     from granugait.model import TerrainProfile
 
-    counts = {}
-    current = {"grad": 0, "psi": 0}
+    solves = {}
+    current = dict.fromkeys([name for name, _ in COLUMNS], 0)
     regime = [None]
 
-    def counting(name, fn):
+    def counting(fn, *names):
         def wrapper(*args, **kwargs):
-            current[name] += 1
+            for name in names:
+                current[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     real_solve = sim.solve_quasistatic_velocity
 
     def solve(*args, **kwargs):
-        current["grad"] = current["psi"] = 0
+        for name in current:
+            current[name] = 0
         try:
             return real_solve(*args, **kwargs)
         finally:
             if regime[0] is not None:
-                grads, psis = counts.setdefault(regime[0], ([], []))
-                grads.append(current["grad"])
-                psis.append(current["psi"])
+                solves.setdefault(regime[0], []).append(dict(current))
 
     pot = sim._Dissipation
-    real_value, real_derivatives = pot.value, pot.derivatives
-    pot.value = counting("psi", real_value)
-    pot.derivatives = counting("grad", real_derivatives)
+    methods = {"value": ("psi",)}
+    if hasattr(pot, "derivatives"):
+        methods["derivatives"] = ("grad", "matrix")
+    else:
+        methods.update(gradient=("grad",), newton_matrix=("matrix",))
+    real = {m: getattr(pot, m) for m in methods}
+    for m, names in methods.items():
+        setattr(pot, m, counting(real[m], *names))
     sim.solve_quasistatic_velocity = solve
     try:
         cfg = RunConfig()
-        for depth in (0.0, 20.0, 40.0):
-            regime[0] = f"{depth:.0f} mm solo"
+        for depth in SOLO_DEPTHS:
+            regime[0] = _solo(depth)
             harness._simulate(cfg, -math.pi / 6,
-                              TerrainProfile.constant(depth), 2, 0)
+                              TerrainProfile.constant(depth), SOLO_CYCLES, 0)
         small = RunConfig(steps_per_cycle=20, transition_cycles=25)
         regime[0] = None
         calib = harness.run_calibrate(small)
@@ -75,19 +98,30 @@ def count_calls(src):
         harness.run_transition(small, calibration=calib)
     finally:
         sim.solve_quasistatic_velocity = real_solve
-        pot.value, pot.derivatives = real_value, real_derivatives
-    return counts
+        for m in methods:
+            setattr(pot, m, real[m])
+
+    # A solo trial solves twice per step: the step and its midpoint.
+    per_cycle = 2 * cfg.steps_per_cycle
+    parts = {"transition batch": solves["transition batch"]}
+    for depth in SOLO_DEPTHS:
+        runs = solves[_solo(depth)]
+        parts[f"{_solo(depth)}, cycle 0"] = runs[:per_cycle]
+        parts[f"{_solo(depth)}, cycles 1+"] = runs[per_cycle:]
+    return {regime: {name: [run[name] for run in runs] for name, _ in COLUMNS}
+            for regime, runs in parts.items()}
 
 
 def table(counts):
-    lines = ["| regime | solves | gradient/Hessian calls per solve (max) "
-             "| Psi calls per solve (max) |",
-             "| --- | --- | --- | --- |"]
+    lines = ["| regime | solves | "
+             + " | ".join(f"{label} calls per solve (max)"
+                          for _, label in COLUMNS) + " |",
+             "| --- | --- |" + " --- |" * len(COLUMNS)]
     for regime in REGIMES:
-        grads, psis = counts[regime]
-        lines.append(f"| {regime} | {len(grads)} "
-                     f"| {sum(grads) / len(grads):.2f} ({max(grads)}) "
-                     f"| {sum(psis) / len(psis):.2f} ({max(psis)}) |")
+        cells = [f"{sum(c) / len(c):.2f} ({max(c)})"
+                 for c in (counts[regime][name] for name, _ in COLUMNS)]
+        n = len(counts[regime][COLUMNS[0][0]])
+        lines.append(f"| {regime} | {n} | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 

@@ -15,6 +15,9 @@ overshoot.  Both shares of the potential use one contact Jacobian, the rows
 B_i mapping the twist to contact i's velocity; the drag share is quadratic
 in the twist and is summed once per solve.
 
+Each solve is warm-started; from cycle 1 on, from the same half step's
+twist one cycle earlier, kept in the body frame (see ``_integrate``).
+
 Independent trials advance in lock-step over a leading batch axis: every
 kernel below takes leading batch axes (``...``), and a single trial is the
 batch of shape ``()``, whose kernel arrays are those of one trial alone;
@@ -282,7 +285,7 @@ class _Dissipation:
     the radial curvature, so primal Newton overshoots.  The solver keeps
     instead a dual z_i ~ v_i/(s_i + eps), the contact's force direction,
     in rows laid out as v, builds its Newton matrix from it
-    (``derivatives``) and updates it by the linearisation of
+    (``newton_matrix``) and updates it by the linearisation of
     (s + eps) z = v after each step (``dual``), as in primal-dual Newton
     for total variation (Chan, Golub & Mulet, SIAM J. Sci. Comput. 20,
     1999) and for sums of Euclidean norms (Andersen, Christiansen, Conn &
@@ -337,33 +340,37 @@ class _Dissipation:
         quad = np.vecdot(xi, 0.5 * np.matvec(self.K, xi) + self.k0)
         return psi + quad + self.c0, v, s
 
-    def derivatives(self, xi, v, s, z):
-        """Gradient of Psi at ``xi`` and the primal-dual Newton matrix, from
-        ``value(xi)``'s v, s and the dual rows ``z`` (laid out as v).
-
-        With u_i = B_i^T v_i and k = m/(s + eps), the Coulomb share adds
-        sum k_i u_i to the gradient and sum k_i B_i^T B_i
-        - (k_i/s_i) (B_i^T z_i) u_i^T to the matrix, the last term 0 at
-        s = 0: the linearisation of the share's gradient written with its
-        dual z_i = v_i/(s_i + eps).  At that z it is the Hessian of Psi;
-        for any |z_i| < 1 its symmetric part is positive definite, so its
-        Newton step descends.
-        """
+    def gradient(self, xi, v, s):
+        """Gradient of Psi at ``xi``, from ``value(xi)``'s v and s, with
+        the weights k = m/(s + eps) and rows u_i = B_i^T v_i that
+        ``newton_matrix`` takes: the Coulomb share adds sum k_i u_i."""
         n = self.n
         k = self.m / (s + self.eps)
+        uv = self.map * v[..., None]
+        u = uv[..., :n, :] + uv[..., n:, :]
+        return np.matvec(self.K, xi) + self.k0 + np.vecmat(k, u), k, u
+
+    def newton_matrix(self, s, z, k, u):
+        """Primal-dual Newton matrix from the speeds ``s``, the dual rows
+        ``z`` (laid out as v) and ``gradient``'s k and u.
+
+        The Coulomb share adds sum k_i B_i^T B_i - (k_i/s_i) (B_i^T z_i)
+        u_i^T, the last term 0 at s = 0: the linearisation of the share's
+        gradient written with its dual z_i = v_i/(s_i + eps).  At that z it
+        is the Hessian of Psi; for any |z_i| < 1 its symmetric part is
+        positive definite, so its Newton step descends.
+        """
+        n = self.n
         # v = 0, so u = 0, where s = 0: the last term vanishes there for
         # any finite c
         c = k / np.where(s > 0, s, 1.0)
-        uv = self.map * v[..., None]
-        u = uv[..., :n, :] + uv[..., n:, :]
         uz = self.map * z[..., None]
         uz = uz[..., :n, :] + uz[..., n:, :]
         uz *= c[..., None]
-        grad = np.matvec(self.K, xi) + self.k0 + np.vecmat(k, u)
-        hess = np.vecmat(k, self.btb).reshape(grad.shape + (3,))
+        hess = np.vecmat(k, self.btb).reshape(u.shape[:-2] + (3, 3))
         hess += self.K
         hess -= uz.mT @ u
-        return grad, hess
+        return hess
 
     def dual(self, v, s, z, v_new):
         """Dual rows after a step from velocity rows ``v`` (speeds ``s``,
@@ -406,7 +413,8 @@ def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
     Psi.  The Newton matrix's symmetric part is positive definite while
     every |z_i| < 1, which the dual update keeps, so each step descends:
     Psi falls at every step and the solve converges from any start, with
-    no fallback.  Convergence is tested on the gradient of Psi alone.
+    no fallback.  Convergence is tested on the gradient of Psi alone; the
+    dual update and the Newton matrix are built only when a step follows.
     Each trial of a batch keeps its own active flag, step length and dual:
     it stops stepping once converged, after a singular Newton matrix or
     after MAX_HALVINGS failed halvings, so its iterates are those of its
@@ -421,16 +429,21 @@ def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
     scale = _residual_scale(robot)
     psi, v, s = pot.value(xi)
     z = np.zeros_like(v)
+    last = None          # the velocity rows and speeds before the last step
     # Per-trial flags and step lengths; scalars for a single trial.  Flags
     # are tested with any()/all() over ``.flat``, which is cheap for both.
     active = np.ones(batch, dtype=bool)[()]
     full_step = np.ones(batch)[()]
     for _ in range(MAX_NEWTON_ITERS):
-        grad, hess = pot.derivatives(xi, v, s, z)
+        grad, k, u = pot.gradient(xi, v, s)
         # converged, or NaN, which the final check rejects
         active = active & (np.abs(scale * grad).max(axis=-1) >= NEWTON_TOL)
         if not any(active.flat):
             break
+        # Only a step that follows needs the dual and the Newton matrix.
+        if last is not None:
+            z = pot.dual(*last, z, v)
+        hess = pot.newton_matrix(s, z, k, u)
         everyone = all(active.flat)
         if not everyone:
             # A trial that has stopped takes a zero step.
@@ -455,7 +468,7 @@ def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
             xi = np.where(active[..., None], trial, xi)
         else:
             xi = trial
-        z = pot.dual(v, s, z, v_t)
+        last = v, s
         psi, v, s = psi_t, v_t, s_t
 
     res, F, v = _residual(xi, contacts, gm, robot)
@@ -548,6 +561,16 @@ def _trial_error(err, trials, shape, where):
     return type(err)(f"{where}: {err}")
 
 
+def _turn(xi, angle):
+    """Twists ``xi`` with (vx, vy) rotated by ``angle``; wz is unchanged."""
+    cos, sin = np.cos(angle), np.sin(angle)
+    out = np.empty_like(xi)
+    out[..., 0] = cos * xi[..., 0] - sin * xi[..., 1]
+    out[..., 1] = sin * xi[..., 0] + cos * xi[..., 1]
+    out[..., 2] = xi[..., 2]
+    return out
+
+
 def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
                steps_per_cycle, clamp_limit, blend_frac):
     """Advance ``trials`` in lock-step over leading batch ``shape`` (``()``
@@ -556,12 +579,23 @@ def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
     ``SolverError``/``DegenerateSupportError`` ends the batch (see
     ``_trial_error``).
 
-    The kernel state (pose, warm-start twist, the cycle's joint angles and
+    The kernel state (pose, warm-start twists, the cycle's joint angles and
     rates) has the batch ``shape``; every record array has one row per
     trial, into which a solo trial's kernel outputs broadcast.  One load
     pipeline over the trials' generators turns each finished cycle's
     torques into loads and medians, and the body centres are computed from
     the recorded poses and joint angles once the last step is taken.
+
+    In cycle 0 a step's solve starts from the previous midpoint's twist,
+    and a midpoint's from its step's.  Each solved twist is kept in the
+    body frame, (vx, vy) rotated by minus the heading of the pose the half
+    step was built at, and from cycle 1 on seeds the same half step,
+    rotated by its own heading (for a midpoint, that of ``pose + dt/2
+    xi``).  The force laws are rotation-covariant, and on uniform terrain
+    nothing depends on position, so the body-frame twist is a function of
+    joint angles, rates and stance phase alone: an open-loop trial there
+    repeats it, and its seed is the balance to within the solver
+    tolerance.  Under a controller or on a ramp it is only a guess.
     """
     robot = robot or RobotModel()
     ground = ground or GroundModel()
@@ -582,6 +616,10 @@ def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
 
     pose = np.broadcast_to(default_initial_pose(robot), shape + (3,))
     xi_prev = None
+    # Each half step's twist in the frame of the pose it was built at; only
+    # the next cycle reads it, so the last cycle stores none and a one-cycle
+    # trial has none.
+    body = np.empty(shape + (2 * spc, 3)) if n_cycles > 1 else None
     max_residual, max_power = np.zeros(n), np.full(n, -np.inf)
     poses = np.empty((n, n_steps + 1, 3))
     joint_angles = np.empty((n, n_steps + 1, 3))   # and the final angles
@@ -604,22 +642,32 @@ def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
         t = k * dt
         where = f"cycle {c}, step {j}"
         alphas = angles[..., 2 * j, :]
+        heading = pose[..., 2]
         try:
             contacts = build_contacts(pose, alphas, rates[..., 2 * j, :],
                                       (omega * t) % TWO_PI, params, robot,
                                       blend)
-            xi, F, res, power = _balance(contacts, ground, robot, xi_prev)
+            xi, F, res, power = _balance(
+                contacts, ground, robot,
+                xi_prev if c == 0 else _turn(body[..., 2 * j, :], heading))
 
             # Midpoint rule: re-balance at the half step so the pose update
             # is second-order accurate in dt.
             where += " (midpoint)"
+            pose_m = pose + 0.5 * dt * xi
+            heading_m = pose_m[..., 2]
             contacts_m = build_contacts(
-                pose + 0.5 * dt * xi, angles[..., 2 * j + 1, :],
+                pose_m, angles[..., 2 * j + 1, :],
                 rates[..., 2 * j + 1, :], (omega * (t + 0.5 * dt)) % TWO_PI,
                 params, robot, blend)
-            xi_m, _, res_m, power_m = _balance(contacts_m, ground, robot, xi)
+            xi_m, _, res_m, power_m = _balance(
+                contacts_m, ground, robot,
+                xi if c == 0 else _turn(body[..., 2 * j + 1, :], heading_m))
         except (SolverError, DegenerateSupportError) as err:
             raise _trial_error(err, trials, shape, where) from err
+        if c < n_cycles - 1:
+            body[..., 2 * j, :] = _turn(xi, -heading)
+            body[..., 2 * j + 1, :] = _turn(xi_m, -heading_m)
 
         poses[:, k] = pose
         joint_angles[:, k] = alphas

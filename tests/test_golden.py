@@ -45,13 +45,13 @@ GOLDEN = {
     "confusion_upper.csv":
         "b97b18d0d06dedeada80f2da2029631ac6b0052fcb6c128a825c131edd3fc535",
     "dataset.csv":
-        "c0d668626f22591a3e30ba018bedf55bc272ededf4476726df93fd14eb704d59",
+        "14431a17efbc87588fb2d5ff2de7c443ddde994c5c486b4cd620b849db436119",
     "closedloop.csv":
         "1eb175fca4b6c17353fa937999fd4dfc1a6054767ce461522823e747cf401c45",
     "closedloop_summary.csv":
         "504ab207546e67dd8052450f4e2742e155761e0dc3751d622e77fca06c8d4c45",
     "transition.csv":
-        "5e9bf66429a7196db4d7ccaa9858ff22b3f132c34be269fdb4bc4d20eddaad5a",
+        "de4679041efe66261df8fb96e3444d282b4b9b957f989d7247730b2a52a606cf",
     "transition_summary.csv":
         "f6679d119c635c8a375c3ea0ea9604836b50be460e22ee4fbbbb6417a2cb4774",
 }

@@ -120,6 +120,29 @@ def test_warm_start_agrees_with_cold_start():
     np.testing.assert_allclose(warm, cold, atol=1e-6)
 
 
+def test_newton_work_is_done_only_for_a_step_that_follows(monkeypatch):
+    """Each iteration tests convergence on the gradient first: a cold solve
+    builds one Newton matrix per step taken and one dual update per step
+    after the first, and a solve started at its own balance builds
+    neither and returns that balance."""
+    c = _contacts()
+    calls = dict.fromkeys(("gradient", "newton_matrix", "dual"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _real=getattr(_Dissipation, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(_Dissipation, name, counted)
+    cold, _, _, _ = solve_quasistatic_velocity(c, GROUND, ROBOT)
+    steps = calls["gradient"] - 1
+    assert steps >= 2
+    assert calls == dict(gradient=steps + 1, newton_matrix=steps,
+                         dual=steps - 1)
+    calls.update(dict.fromkeys(calls, 0))
+    warm, _, _, _ = solve_quasistatic_velocity(c, GROUND, ROBOT, xi0=cold)
+    assert calls == dict(gradient=1, newton_matrix=0, dual=0)
+    np.testing.assert_array_equal(warm, cold)
+
+
 def test_singular_hessian_ends_only_its_own_newton_step():
     """A singular system yields a NaN step (its line search then fails and
     its trial stops) while the batch's other systems are solved as alone."""
@@ -148,12 +171,19 @@ def _primal_dual(pot, v, s):
     return v / (np.concatenate((s, s), axis=-1) + pot.eps)
 
 
+def _derivatives(pot, xi, v, s, z):
+    """The gradient of ``pot`` at ``xi`` and its Newton matrix at the dual
+    rows ``z``, from ``value(xi)``'s v and s."""
+    grad, k, u = pot.gradient(xi, v, s)
+    return grad, pot.newton_matrix(s, z, k, u)
+
+
 def _potential(c, xi):
     """Psi, its gradient and its Hessian at ``xi``: the Newton matrix at
     the dual z = v/(s + eps)."""
     pot = _Dissipation(c, GROUND, ROBOT.friction)
     psi, v, s = pot.value(xi)
-    return (psi,) + pot.derivatives(xi, v, s, _primal_dual(pot, v, s))
+    return (psi,) + _derivatives(pot, xi, v, s, _primal_dual(pot, v, s))
 
 
 def _disc(rng, shape, radius):
@@ -229,13 +259,13 @@ def test_batched_potential_equals_each_trial_alone_bit_for_bit():
     pot = _Dissipation(batch, GROUND, ROBOT.friction)
     zs = _disc(rng, (4, pot.n), 0.999)
     psi, v, s = pot.value(xis)
-    grad, hess = pot.derivatives(xis, v, s, zs)
+    grad, hess = _derivatives(pot, xis, v, s, zs)
     _, v_new, _ = pot.value(xis + steps)
     z_new = pot.dual(v, s, zs, v_new)
     for i, c in enumerate(solo):
         alone = _Dissipation(c, GROUND, ROBOT.friction)
         psi_i, v_i, s_i = alone.value(xis[i])
-        grad_i, hess_i = alone.derivatives(xis[i], v_i, s_i, zs[i])
+        grad_i, hess_i = _derivatives(alone, xis[i], v_i, s_i, zs[i])
         _, v_new_i, _ = alone.value(xis[i] + steps[i])
         assert psi[i] == psi_i
         np.testing.assert_array_equal(v[i], v_i)
@@ -267,9 +297,9 @@ def test_derivatives_at_a_stopped_loaded_contact_are_finite():
         warnings.simplefilter("error", RuntimeWarning)
         pot = _Dissipation(c, GROUND, ROBOT.friction)
         _, v, s = pot.value(xi)
-        grad, hess = pot.derivatives(xi, v, s, _primal_dual(pot, v, s))
-        _, other = pot.derivatives(
-            xi, v, s, _disc(np.random.default_rng(2), pot.n, 0.999))
+        grad, hess = _derivatives(pot, xi, v, s, _primal_dual(pot, v, s))
+        _, other = _derivatives(
+            pot, xi, v, s, _disc(np.random.default_rng(2), pot.n, 0.999))
     assert s[foot] == 0.0 and np.count_nonzero(s == 0.0) == 1
     assert np.isfinite(grad).all() and np.isfinite(hess).all()
     assert np.isfinite(other).all()
@@ -293,8 +323,8 @@ def test_newton_matrix_has_a_positive_definite_symmetric_part():
         for xi in rng.normal(scale=(0.2, 0.2, 1.0), size=(10, 3)):
             _, v, s = pot.value(xi)
             for radius in (0.5, 0.99, 1 - 1e-9):
-                grad, hess = pot.derivatives(xi, v, s,
-                                             _disc(rng, pot.n, radius))
+                grad, hess = _derivatives(pot, xi, v, s,
+                                          _disc(rng, pot.n, radius))
                 assert np.linalg.eigvalsh(0.5 * (hess + hess.T)).min() > 0
                 assert grad @ _newton_steps(hess, grad) < 0
 
