@@ -61,6 +61,13 @@ class GaitParams:
             raise ValueError(f"duty must lie in (0, 1], got {self.duty}")
         if not 0 <= self.ramp_frac < 0.5:
             raise ValueError(f"ramp_frac must lie in [0, 0.5), got {self.ramp_frac}")
+        # A stance window shorter than one ramp, or a swing window shorter
+        # than one, would make the contact weight jump.
+        if self.ramp_frac > 0 and not (self.ramp_frac <= self.duty
+                                       <= 1 - self.ramp_frac):
+            raise ValueError(
+                f"duty must lie in [ramp_frac, 1 - ramp_frac] = "
+                f"[{self.ramp_frac}, {1 - self.ramp_frac}], got {self.duty}")
 
 
 def _check_cycle_phase(t):
@@ -91,7 +98,8 @@ def leg_contact_fraction(leg, t, g):
     if rel < width:
         if ramp == 0:
             return 1.0
-        return min(rel / ramp, 1.0)
+        # min(rel / ramp, 1.0), without overflow for a subnormal ramp
+        return min(rel, ramp) / ramp
     post = rel - width
     if ramp == 0 or post >= ramp:
         return 0.0

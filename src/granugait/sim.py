@@ -15,8 +15,9 @@ overshoot.  Both shares of the potential use one contact Jacobian, the rows
 B_i mapping the twist to contact i's velocity; the drag share is quadratic
 in the twist and is summed once per solve.
 
-Each solve is warm-started; from cycle 1 on, from the same half step's
-twist one cycle earlier, kept in the body frame (see ``_integrate``).
+Each solve is warm-started by one rule from one table of body-frame
+twists: from the same half step one cycle earlier, or in cycle 0 from the
+half step just before (see ``_integrate``).
 
 Independent trials advance in lock-step over a leading batch axis: every
 kernel below takes leading batch axes (``...``), and a single trial is the
@@ -480,15 +481,6 @@ def solve_quasistatic_velocity(contacts, gm, robot, xi0=None):
     return xi, F, v, worst
 
 
-def _balance(contacts, ground, robot, xi0):
-    """``solve_quasistatic_velocity``, returning the twist, forces, residual
-    and the largest power F.v of a loaded contact (a swing foot, at zero
-    load, exerts no force)."""
-    xi, F, v, res = solve_quasistatic_velocity(contacts, ground, robot, xi0)
-    power = np.einsum("...j,...j->...", F, v)
-    return xi, F, res, np.where(contacts.normal > 0, power, -np.inf).max(-1)
-
-
 def compute_joint_torques(contacts, forces, robot):
     """Nondimensional torque about each body joint from the resolved forces.
 
@@ -579,23 +571,24 @@ def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
     ``SolverError``/``DegenerateSupportError`` ends the batch (see
     ``_trial_error``).
 
-    The kernel state (pose, warm-start twists, the cycle's joint angles and
+    The kernel state (pose, the twist table, the cycle's joint angles and
     rates) has the batch ``shape``; every record array has one row per
-    trial, into which a solo trial's kernel outputs broadcast.  One load
-    pipeline over the trials' generators turns each finished cycle's
-    torques into loads and medians, and the body centres are computed from
-    the recorded poses and joint angles once the last step is taken.
+    trial, into which a solo trial's kernel outputs broadcast.  Each cycle
+    computes its angles and rates, takes its steps (each a half step and
+    its midpoint), then turns its torques into loads and medians through
+    one load pipeline over the trials' generators and calls the
+    controllers.  Body centres come from the recorded poses and angles.
 
-    In cycle 0 a step's solve starts from the previous midpoint's twist,
-    and a midpoint's from its step's.  Each solved twist is kept in the
-    body frame, (vx, vy) rotated by minus the heading of the pose the half
-    step was built at, and from cycle 1 on seeds the same half step,
-    rotated by its own heading (for a midpoint, that of ``pose + dt/2
-    xi``).  The force laws are rotation-covariant, and on uniform terrain
-    nothing depends on position, so the body-frame twist is a function of
-    joint angles, rates and stance phase alone: an open-loop trial there
-    repeats it, and its seed is the balance to within the solver
-    tolerance.  Under a controller or on a ramp it is only a guess.
+    The table holds each half step's solved twist in the body frame, (vx,
+    vy) rotated by minus the heading of the pose the half step was built
+    at; it starts at zero.  Every solve starts from one entry rotated by
+    its own heading: the same half step one cycle earlier, or in cycle 0
+    the half step just before (zero before the first).  The force laws are
+    rotation-covariant, and on uniform terrain nothing depends on position,
+    so the body-frame twist is a function of joint angles, rates and stance
+    phase alone: an open-loop trial there repeats it, and from cycle 1 on
+    its seed is the balance to within the solver tolerance.  Under a
+    controller or on a ramp it is only a guess.
     """
     robot = robot or RobotModel()
     ground = ground or GroundModel()
@@ -615,11 +608,7 @@ def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
         [np.random.default_rng(t.seed) for t in trials])
 
     pose = np.broadcast_to(default_initial_pose(robot), shape + (3,))
-    xi_prev = None
-    # Each half step's twist in the frame of the pose it was built at; only
-    # the next cycle reads it, so the last cycle stores none and a one-cycle
-    # trial has none.
-    body = np.empty(shape + (2 * spc, 3)) if n_cycles > 1 else None
+    body = np.zeros(shape + (2 * spc, 3))
     max_residual, max_power = np.zeros(n), np.full(n, -np.inf)
     poses = np.empty((n, n_steps + 1, 3))
     joint_angles = np.empty((n, n_steps + 1, 3))   # and the final angles
@@ -628,64 +617,60 @@ def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
     cycle_median = np.empty((n, n_cycles, 3))
     cycle_phi = np.empty((n, n_cycles))
 
-    for k in range(n_steps):
-        c, j = divmod(k, spc)
-        if j == 0:
-            # A wave changes only at cycle boundaries, so the whole cycle's
-            # angles and rates are known in advance: row 2j is step j, row
-            # 2j + 1 its midpoint.
-            ts = np.arange(k, k + spc) * dt
-            ts = np.stack([ts, ts + 0.5 * dt], axis=-1).reshape(-1)
-            angles, rates = zip(*(w.angles_and_rates(ts) for w in waves))
-            angles = np.reshape(angles, shape + (2 * spc, 3))
-            rates = np.reshape(rates, shape + (2 * spc, 3))
-        t = k * dt
-        where = f"cycle {c}, step {j}"
-        alphas = angles[..., 2 * j, :]
+    def half_step(c, h, pose, t):
+        """Balance half step ``h`` of cycle ``c`` at ``pose`` and time
+        ``t`` and store its twist; returns the contacts, twist, forces,
+        residual and largest power F.v of a loaded contact."""
         heading = pose[..., 2]
-        try:
-            contacts = build_contacts(pose, alphas, rates[..., 2 * j, :],
-                                      (omega * t) % TWO_PI, params, robot,
-                                      blend)
-            xi, F, res, power = _balance(
-                contacts, ground, robot,
-                xi_prev if c == 0 else _turn(body[..., 2 * j, :], heading))
+        contacts = build_contacts(pose, angles[..., h, :], rates[..., h, :],
+                                  (omega * t) % TWO_PI, params, robot, blend)
+        xi, F, v, res = solve_quasistatic_velocity(
+            contacts, ground, robot,
+            _turn(body[..., h if c else h - 1, :], heading))
+        body[..., h, :] = _turn(xi, -heading)
+        power = np.where(contacts.normal > 0,
+                         np.einsum("...j,...j->...", F, v), -np.inf)
+        return contacts, xi, F, res, power.max(-1)
 
-            # Midpoint rule: re-balance at the half step so the pose update
-            # is second-order accurate in dt.
-            where += " (midpoint)"
-            pose_m = pose + 0.5 * dt * xi
-            heading_m = pose_m[..., 2]
-            contacts_m = build_contacts(
-                pose_m, angles[..., 2 * j + 1, :],
-                rates[..., 2 * j + 1, :], (omega * (t + 0.5 * dt)) % TWO_PI,
-                params, robot, blend)
-            xi_m, _, res_m, power_m = _balance(
-                contacts_m, ground, robot,
-                xi if c == 0 else _turn(body[..., 2 * j + 1, :], heading_m))
-        except (SolverError, DegenerateSupportError) as err:
-            raise _trial_error(err, trials, shape, where) from err
-        if c < n_cycles - 1:
-            body[..., 2 * j, :] = _turn(xi, -heading)
-            body[..., 2 * j + 1, :] = _turn(xi_m, -heading_m)
+    for c in range(n_cycles):
+        # A wave changes only at cycle boundaries, so the whole cycle's
+        # angles and rates are known in advance: row 2j is step j, row
+        # 2j + 1 its midpoint.
+        ts = np.arange(c * spc, (c + 1) * spc) * dt
+        ts = np.stack([ts, ts + 0.5 * dt], axis=-1).reshape(-1)
+        angles, rates = zip(*(w.angles_and_rates(ts) for w in waves))
+        angles = np.reshape(angles, shape + (2 * spc, 3))
+        rates = np.reshape(rates, shape + (2 * spc, 3))
+        for j in range(spc):
+            k = c * spc + j
+            t = k * dt
+            where = f"cycle {c}, step {j}"
+            try:
+                contacts, xi, F, res, power = half_step(c, 2 * j, pose, t)
+                # Midpoint rule: re-balance at the half step so the pose
+                # update is second-order accurate in dt.
+                where += " (midpoint)"
+                _, xi_m, _, res_m, power_m = half_step(
+                    c, 2 * j + 1, pose + 0.5 * dt * xi, t + 0.5 * dt)
+            except (SolverError, DegenerateSupportError) as err:
+                raise _trial_error(err, trials, shape, where) from err
+            poses[:, k] = pose
+            joint_angles[:, k] = angles[..., 2 * j, :]
+            torques[:, k] = compute_joint_torques(contacts, F, robot)
+            max_residual = np.maximum(max_residual, np.maximum(res, res_m))
+            max_power = np.maximum(max_power, np.maximum(power, power_m))
+            pose = pose + dt * xi_m
 
-        poses[:, k] = pose
-        joint_angles[:, k] = alphas
-        torques[:, k] = compute_joint_torques(contacts, F, robot)
-        max_residual = np.maximum(max_residual, np.maximum(res, res_m))
-        max_power = np.maximum(max_power, np.maximum(power, power_m))
-        pose = pose + dt * xi_m
-        xi_prev = xi_m
-
-        if j == spc - 1:
-            raw = filt.push_raw(torques[:, c * spc:k + 1])
-            loads[:, c * spc:k + 1] = raw
-            cycle_median[:, c] = filt.cycle_median(raw)
-            for i, (trial, wave) in enumerate(zip(trials, waves)):
-                cycle_phi[i, c] = wave.phi
-                if trial.controller is not None and c < n_cycles - 1:
-                    wave.set_phase(trial.controller(cycle_median[i, c, 1]),
-                                   omega * (t + dt))
+        cycle = slice(c * spc, (c + 1) * spc)
+        raw = filt.push_raw(torques[:, cycle])
+        loads[:, cycle] = raw
+        cycle_median[:, c] = filt.cycle_median(raw)
+        for i, (trial, wave) in enumerate(zip(trials, waves)):
+            cycle_phi[i, c] = wave.phi
+            if trial.controller is not None and c < n_cycles - 1:
+                # the next cycle starts at the end of the last step, t + dt
+                wave.set_phase(trial.controller(cycle_median[i, c, 1]),
+                               omega * (t + dt))
 
     poses[:, n_steps] = pose
     joint_angles[:, n_steps] = np.reshape(

@@ -165,6 +165,26 @@ def test_contact_fraction_in_unit_interval(t):
         assert 0.0 <= leg_contact_fraction(leg, t, g) <= 1.0
 
 
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+       st.floats(min_value=0.0, max_value=0.5, exclude_min=True,
+                 exclude_max=True))
+def test_contact_fraction_never_jumps(duty, ramp_frac):
+    """A ramped gait is accepted only if no leg's contact weight jumps: over
+    the cycle, and across its wrap, the weight changes between samples by
+    at most the ramp slope times the sample spacing."""
+    try:
+        g = GaitParams(duty=duty, ramp_frac=ramp_frac)
+    except ValueError:
+        assert not ramp_frac <= duty <= 1 - ramp_frac
+        return
+    n = 1000
+    ts = np.arange(n) * (TWO_PI / n)
+    for leg in LegId:
+        w = np.array([leg_contact_fraction(leg, t, g) for t in ts])
+        steps = np.abs(np.diff(w, append=w[0]))
+        assert steps.max() <= 1.0 / (n * ramp_frac) + 1e-9
+
+
 def test_zero_ramp_gives_step_contact():
     g = GaitParams(stance_offset=0.0, ramp_frac=0.0)
     for t in np.linspace(0, TWO_PI, 64, endpoint=False):
@@ -201,6 +221,8 @@ def test_optimal_phase_range_error(d):
     {"amplitude": 0.0}, {"frequency": -1.0}, {"body_phase": 0.5},
     {"body_phase": -2.0}, {"duty": 0.0}, {"duty": 1.5},
     {"frequency": 0.0}, {"ramp_frac": -0.01}, {"ramp_frac": 0.5},
+    # a stance or swing window shorter than the default ramp (0.05)
+    {"duty": 1.0}, {"duty": 0.01}, {"duty": 0.99},
 ])
 def test_gait_params_validation(kwargs):
     with pytest.raises(ValueError):

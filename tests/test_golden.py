@@ -45,7 +45,7 @@ GOLDEN = {
     "confusion_upper.csv":
         "b97b18d0d06dedeada80f2da2029631ac6b0052fcb6c128a825c131edd3fc535",
     "dataset.csv":
-        "14431a17efbc87588fb2d5ff2de7c443ddde994c5c486b4cd620b849db436119",
+        "09c0e003f76b614f2980ab233a9f11457837f8929b2b2d65596d461953ec25a9",
     "closedloop.csv":
         "1eb175fca4b6c17353fa937999fd4dfc1a6054767ce461522823e747cf401c45",
     "closedloop_summary.csv":

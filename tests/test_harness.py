@@ -115,6 +115,8 @@ def test_config_unparseable_value(tmp_path):
     ("amplitude", 1e300), ("frequency", 1e300),
     # a virtual trial's index is one 32-bit word of its seed
     ("classify_trials_per_cell", 2**32 + 1),
+    # the contact weight would jump (default ramp_frac 0.05)
+    ("duty", 1.0), ("duty", 0.01), ("duty", 0.99),
 ])
 def test_config_validation_names_offending_key(key, value):
     cfg = RunConfig()
