@@ -11,9 +11,7 @@ calls per solve in three columns:
 - Newton-matrix calls (``newton_matrix``);
 - Psi calls (``value``).
 
-A tree whose ``_Dissipation`` has one ``derivatives`` method, for the
-gradient and the Newton matrix together, counts each of its calls in
-both columns.  The regimes are:
+The regimes are:
 
 - one solo trial at 0, 20 and 40 mm (``configs/default.ini`` settings,
   2 cycles at phase offset -pi/6), each split into its cycle 0 and its
@@ -57,10 +55,9 @@ def count_calls(src):
     current = dict.fromkeys([name for name, _ in COLUMNS], 0)
     regime = [None]
 
-    def counting(fn, *names):
+    def counting(fn, name):
         def wrapper(*args, **kwargs):
-            for name in names:
-                current[name] += 1
+            current[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -76,14 +73,10 @@ def count_calls(src):
                 solves.setdefault(regime[0], []).append(dict(current))
 
     pot = sim._Dissipation
-    methods = {"value": ("psi",)}
-    if hasattr(pot, "derivatives"):
-        methods["derivatives"] = ("grad", "matrix")
-    else:
-        methods.update(gradient=("grad",), newton_matrix=("matrix",))
+    methods = {"value": "psi", "gradient": "grad", "newton_matrix": "matrix"}
     real = {m: getattr(pot, m) for m in methods}
-    for m, names in methods.items():
-        setattr(pot, m, counting(real[m], *names))
+    for m, name in methods.items():
+        setattr(pot, m, counting(real[m], name))
     sim.solve_quasistatic_velocity = solve
     try:
         cfg = RunConfig()

@@ -251,9 +251,9 @@ def run_sweep(cfg: RunConfig, out_dir=None):
     rows = []
     cell_means = {}
     cells = [(depth, phi) for depth in cfg.depths for phi in cfg.phi_grid]
-    terrains = {depth: TerrainProfile.constant(depth) for depth in cfg.depths}
     records = _simulate_batch(
-        cfg, [Trial(phi, terrains[depth]) for depth, phi in cells],
+        cfg, [Trial(phi, TerrainProfile.constant(depth))
+              for depth, phi in cells],
         cfg.sweep_cycles, cfg.load_cfg(noise_cov=0.0))
     for (depth, phi), rec in zip(cells, records):
         for trial in range(cfg.sweep_trials):
@@ -296,10 +296,9 @@ def run_model_torque(cfg: RunConfig, out_dir=None):
     rows = []
     table = {}
     cells = [(phi, rho) for phi in (0.0, -math.pi / 3) for rho in cfg.rho_grid]
-    terrains = {rho: TerrainProfile.constant(MAX_DEPTH_MM * rho)
-                for rho in cfg.rho_grid}
     records = _simulate_batch(
-        cfg, [Trial(phi, terrains[rho]) for phi, rho in cells], 1,
+        cfg, [Trial(phi, TerrainProfile.constant(MAX_DEPTH_MM * rho))
+              for phi, rho in cells], 1,
         cfg.load_cfg(noise_cov=0.0))
     for (phi, rho), rec in zip(cells, records):
         medians = np.median(np.abs(rec.torques), axis=0)
@@ -329,10 +328,9 @@ def generate_feature_dataset(cfg: RunConfig):
     """
     cells = [(di, depth, pi, phi) for di, depth in enumerate(DEPTH_CLASSES)
              for pi, phi in enumerate(cfg.phi_grid)]
-    terrains = {depth: TerrainProfile.constant(depth)
-                for depth in DEPTH_CLASSES}
     records = _simulate_batch(
-        cfg, [Trial(phi, terrains[depth]) for _, depth, _, phi in cells],
+        cfg, [Trial(phi, TerrainProfile.constant(depth))
+              for _, depth, _, phi in cells],
         cfg.classify_cycles, cfg.load_cfg(noise_cov=0.0))
     medians = np.stack([percept.trial_cycle_medians(
         rec.torques, cfg.steps_per_cycle, cfg.load_cfg(),

@@ -12,12 +12,10 @@ blend (``blend_ratio``); the law itself is ``sim.contact_forces``.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-
-from .gait import LegId
 
 GRAVITY = 9.81  # m/s^2
 
@@ -26,15 +24,17 @@ MAX_DEPTH_MM = 40.0
 
 
 @dataclass(frozen=True)
-class LegAttachment:
-    segment: int        # segment index carrying the shoulder
-    along: float        # m from the segment's head-end, toward the tail
-    lateral: float      # m, positive = robot's left
-
-
-@dataclass(frozen=True)
 class RobotModel:
-    """Planar four-segment body with shoulder-mounted point feet."""
+    """Planar four-segment body with shoulder-mounted point feet.
+
+    Segment 0 is the head and segment 3 the tail.  The fore shoulders sit
+    ``fore_along`` m behind the head end of segment 1 and the hind
+    shoulders ``hind_along`` m behind that of segment 3, the left ones
+    ``leg_lateral`` m to the robot's left and the right ones mirroring
+    them.  The default offsets place the fore feet near the middle of
+    segment 1 and the hind feet at the tail joint, which spreads the
+    flat-ground reaction moments evenly over the three body joints.
+    """
 
     n_segments: int = 4
     segment_length: float = 0.1125   # m; body length BL = 0.45 m
@@ -81,21 +81,6 @@ class RobotModel:
     def weight(self):
         return self.mass * GRAVITY
 
-    @cached_property
-    def leg_attach(self):
-        """Shoulder of each leg.  Fore shoulders sit on segment 1, hind on
-        segment 3 (head = segment 0, tail = segment 3).  The default offsets
-        place the fore feet near the middle of segment 1 and the hind feet
-        at the tail joint, which spreads the flat-ground reaction moments
-        evenly over the three body joints."""
-        lat = self.leg_lateral
-        return {
-            LegId.LF: LegAttachment(1, self.fore_along, lat),
-            LegId.RF: LegAttachment(1, self.fore_along, -lat),
-            LegId.LH: LegAttachment(3, self.hind_along, lat),
-            LegId.RH: LegAttachment(3, self.hind_along, -lat),
-        }
-
     def mirrored(self):
         """Same robot with left/right leg geometry swapped."""
         return dataclasses.replace(self, leg_lateral=-self.leg_lateral)
@@ -135,36 +120,48 @@ def blend_ratio(d):
     return np.minimum(d / MAX_DEPTH_MM, 1.0)
 
 
+@dataclass(frozen=True)
 class TerrainProfile:
-    """Bead depth (mm) as a function of arena x (m)."""
+    """Bead depth (mm) as a function of arena x (m): flat up to
+    ``x_start``, then a linear rise to ``depth_mm`` over ``ramp_length``.
 
-    def __init__(self, depth_fn, label):
-        self._depth_fn = depth_fn
-        self.label = label
+    A terrain of uniform depth has ``x_start = -inf``.  Terrains are
+    values: equal ones are one key of ``sim.blend_groups``.  Construction
+    rejects parameters outside the model's range, naming the terrain.
+    """
+
+    label: str
+    depth_mm: float
+    x_start: float = -math.inf
+    ramp_length: float = 1.0
+
+    def __post_init__(self):
+        for ok, what in [
+            (0 <= self.depth_mm <= MAX_DEPTH_MM,
+             f"depth {self.depth_mm} mm outside [0, {MAX_DEPTH_MM:g}]"),
+            (-math.inf <= self.x_start < math.inf,
+             f"x_start {self.x_start} m is neither finite nor -inf"),
+            (0 < self.ramp_length < math.inf,
+             f"ramp_length {self.ramp_length} m is not positive and finite"),
+        ]:
+            if not ok:
+                raise ValueError(f"terrain {self.label}: {what}")
 
     def depth_at(self, x):
-        d = self._depth_fn(np.asarray(x, dtype=float))
-        return np.clip(d, 0.0, MAX_DEPTH_MM)
+        u = (np.asarray(x, dtype=float) - self.x_start) / self.ramp_length
+        # clip to [0, 1]; np.clip's Python wrapper costs more than these two
+        return np.minimum(np.maximum(u, 0.0), 1.0) * self.depth_mm
 
     @staticmethod
     def flat():
-        return TerrainProfile(lambda x: np.zeros_like(x), "flat")
+        return TerrainProfile("flat", 0.0)
 
     @staticmethod
     def constant(depth_mm):
-        if not 0 <= depth_mm <= MAX_DEPTH_MM:
-            raise ValueError(f"constant depth {depth_mm} mm outside [0, 40]")
-        return TerrainProfile(
-            lambda x: np.full_like(x, float(depth_mm)), f"constant-{depth_mm}mm"
-        )
+        return TerrainProfile(f"constant-{depth_mm}mm", depth_mm)
 
     @staticmethod
     def ramp(x_start, ramp_length, depth_mm=MAX_DEPTH_MM):
         """Flat, then a linear rise to ``depth_mm`` over ``ramp_length`` m."""
-        if ramp_length <= 0:
-            raise ValueError("ramp_length must be positive")
-
-        def fn(x):
-            return np.clip((x - x_start) / ramp_length, 0.0, 1.0) * depth_mm
-
-        return TerrainProfile(fn, f"ramp-{x_start}m-{ramp_length}m-{depth_mm}mm")
+        return TerrainProfile(f"ramp-{x_start}m-{ramp_length}m-{depth_mm}mm",
+                              depth_mm, x_start, ramp_length)

@@ -57,9 +57,10 @@ STEPS_PER_CYCLE = 100    # integration steps per gait cycle
 
 
 def blend_groups(terrains):
-    """Trials grouped by terrain object, given one terrain per trial:
+    """Trials grouped by terrain, given one terrain per trial:
     ``{terrain: rows}``, so that each terrain's belly blend ratios come
-    from one depth lookup over its rows."""
+    from one depth lookup over its rows.  Terrains are values, so equal
+    terrains are one group however many objects carry them."""
     groups = {}
     for i, terrain in enumerate(terrains):
         groups.setdefault(terrain, []).append(i)
@@ -119,14 +120,13 @@ def _layout(robot):
     are shared by every call, so they are read-only.
     """
     n_per, n_seg = robot.belly_elements_per_segment, robot.n_segments
-    atts = [robot.leg_attach[leg] for leg in LegId]
+    fore, hind, lat = robot.fore_along, robot.hind_along, robot.leg_lateral
     fracs = (np.arange(n_per) + 0.5) / n_per
-    seg = np.concatenate([np.repeat(np.arange(n_seg), n_per),
-                          [a.segment for a in atts]])
+    # feet LF, RF, LH, RH: fore shoulders on segment 1, hind on segment 3
+    seg = np.concatenate([np.repeat(np.arange(n_seg), n_per), [1, 1, 3, 3]])
     along = np.concatenate([np.tile(fracs * robot.segment_length, n_seg),
-                            [a.along for a in atts]])
-    lateral = np.concatenate([np.zeros(n_seg * n_per),
-                              [a.lateral for a in atts]])
+                            [fore, fore, hind, hind]])
+    lateral = np.concatenate([np.zeros(n_seg * n_per), [lat, -lat, lat, -lat]])
     behind = seg >= np.arange(1, n_seg)[:, None]
     layout = (seg, along[:, None], lateral[:, None], behind)
     for a in layout:

@@ -15,7 +15,7 @@ from granugait.gait import GaitParams, LegId
 from granugait.model import (GRAVITY, GroundModel, RobotModel, TerrainProfile,
                              blend_ratio)
 from granugait.percept import LoadPipelineConfig
-from granugait.sim import (ContactSet, blend_groups, build_contacts,
+from granugait.sim import (ContactSet, _layout, blend_groups, build_contacts,
                            contact_forces)
 
 GM = GroundModel(rft_par=1.5, rft_perp=3.75, slip_eps=1e-4)
@@ -150,24 +150,49 @@ def test_ramp_profile():
     assert t.depth_at(0.4) == pytest.approx(20.0)
     assert t.depth_at(0.7) == pytest.approx(40.0)
     assert t.depth_at(5.0) == pytest.approx(40.0)
-    with pytest.raises(ValueError):
-        TerrainProfile.ramp(0.0, 0.0)
 
 
-def test_depth_clipped_to_model_range():
-    t = TerrainProfile(lambda x: np.full_like(x, 300.0), "too-deep")
-    assert float(t.depth_at(0.0)) == pytest.approx(40.0)
+@pytest.mark.parametrize("args", [
+    (0.0, 0.0), (0.02, math.nan), (math.nan, 0.45), (0.02, 0.45, math.nan),
+    (0.02, math.inf), (0.02, 0.45, -10.0),
+], ids=["zero-length", "nan-length", "nan-start", "nan-depth", "inf-length",
+        "negative-depth"])
+def test_ramp_rejects_bad_parameters(args):
+    """A zero or infinite length, a NaN or a negative depth is refused when
+    the terrain is built, naming it, instead of failing at the first step
+    (NaN) or running as flat ground (inf length, negative depth)."""
+    with pytest.raises(ValueError, match="^terrain ramp-"):
+        TerrainProfile.ramp(*args)
+
+
+def test_depth_beyond_model_range_is_rejected():
+    """Depths past the model's 40 mm are refused at construction, so no
+    terrain can hand the blend a depth outside [0, 40]."""
+    with pytest.raises(ValueError, match="^terrain too-deep: depth 300.0 mm"):
+        TerrainProfile("too-deep", 300.0)
+    for depth in (0.0, 40.0):
+        assert TerrainProfile("edge", depth).depth_at(5.0) == depth
 
 
 # ---------------------------------------------------------------------------
 # RobotModel / GroundModel
 
+def _feet(robot):
+    """Segment, along-segment offset and lateral offset of each foot of
+    ``sim._layout(robot)``, keyed by leg."""
+    seg, along, lateral, _ = _layout(robot)
+    n = len(LegId)
+    return {leg: (int(s), float(a), float(lat)) for leg, s, a, lat
+            in zip(LegId, seg[-n:], along[-n:, 0], lateral[-n:, 0])}
+
+
 def test_robot_defaults():
     r = RobotModel()
     assert r.body_length == pytest.approx(0.45)
     assert r.weight == pytest.approx(0.6 * 9.81)
-    assert r.leg_attach[LegId.LF].segment == 1
-    assert r.leg_attach[LegId.LH].segment == 3
+    feet = _feet(r)
+    assert feet[LegId.LF][0] == feet[LegId.RF][0] == 1
+    assert feet[LegId.LH][0] == feet[LegId.RH][0] == 3
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -217,14 +242,16 @@ def test_perfbench_check_defaults_equal_the_component_defaults():
 def test_mirrored_negates_lateral_offsets_only():
     r = RobotModel()
     m = r.mirrored()
+    feet, mirrored = _feet(r), _feet(m)
     for leg in LegId:
-        assert m.leg_attach[leg].lateral == -r.leg_attach[leg].lateral
-        assert m.leg_attach[leg].along == r.leg_attach[leg].along
-        assert m.leg_attach[leg].segment == r.leg_attach[leg].segment
+        assert mirrored[leg][2] == -feet[leg][2]
+        assert mirrored[leg][1] == feet[leg][1]
+        assert mirrored[leg][0] == feet[leg][0]
     assert m.mass == r.mass
     assert m.foot_gm_weight_frac == r.foot_gm_weight_frac
     # mirroring twice restores the original geometry
     assert m.mirrored() == r
+    assert _feet(m.mirrored()) == feet
 
 
 @pytest.mark.parametrize("kwargs", [

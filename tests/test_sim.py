@@ -526,9 +526,9 @@ def test_first_cycle_does_not_depend_on_the_cycle_count(index):
 
 
 def test_batch_looks_up_each_shared_terrain_once_per_half_step(monkeypatch):
-    """Trials on one terrain object share its depth lookup, whether they sit
-    side by side in the batch or apart: one lookup per distinct terrain
-    object.  Each still equals its solo run bit for bit."""
+    """Trials on one terrain share its depth lookup, whether they sit side
+    by side in the batch or apart: one lookup per distinct terrain.  Each
+    still equals its solo run bit for bit."""
     deep, ramp = TerrainProfile.constant(40.0), TerrainProfile.ramp(0.02, 0.45)
     mid = TerrainProfile.constant(20.0)
     trials = [Trial(-math.pi / 6, deep, seed=1), Trial(0.0, deep, seed=2),
@@ -554,6 +554,39 @@ def test_batch_looks_up_each_shared_terrain_once_per_half_step(monkeypatch):
                        (mid, (2, N_BELLY))] * len(half_steps)
     for trial, rec in zip(trials, batch):
         _assert_same_record(_solo(trial, 2), rec)
+
+
+def test_equal_terrains_form_one_blend_group(monkeypatch):
+    """Terrains are values: trials that each build their own 20 mm terrain
+    form one blend group, share one depth lookup per half step, and run
+    bit for bit as the same trials on one shared terrain object."""
+    phis = (-math.pi / 6, 0.0, -math.pi / 3)
+    own = [Trial(phi, TerrainProfile.constant(20.0)) for phi in phis]
+    assert len({id(t.terrain) for t in own}) == len(own)
+    groups = blend_groups([t.terrain for t in own])
+    assert len(groups) == 1
+    np.testing.assert_array_equal(groups[own[0].terrain], [0, 1, 2])
+    lookups, half_steps = [], []
+    depth_at, build = TerrainProfile.depth_at, sim.build_contacts
+
+    def counted_depth_at(terrain, x):
+        lookups.append(np.shape(x))
+        return depth_at(terrain, x)
+
+    def counted_build(*args):
+        half_steps.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(TerrainProfile, "depth_at", counted_depth_at)
+    monkeypatch.setattr(sim, "build_contacts", counted_build)
+    batch = simulate_trials(own, 2, **BATCH_KW)
+    monkeypatch.undo()
+    assert len(half_steps) == 2 * 2 * BATCH_KW["steps_per_cycle"]
+    assert lookups == [(len(own), N_BELLY)] * len(half_steps)
+    shared = TerrainProfile.constant(20.0)
+    for a, b in zip(simulate_trials([Trial(phi, shared) for phi in phis], 2,
+                                    **BATCH_KW), batch):
+        _assert_same_record(a, b)
 
 
 def test_batch_of_one_equals_simulate_trial():
