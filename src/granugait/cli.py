@@ -70,6 +70,10 @@ def main(argv=None):
     except SimulationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except OSError as err:
+        print(f"error: cannot write {err.filename or args.out}: "
+              f"{err.strerror or err}", file=sys.stderr)
+        return 2
     print(f"{args.command}: outputs written to {args.out}")
     return 0
 

@@ -116,17 +116,24 @@ def blend_ratio(d):
     """
     d = np.asarray(d, dtype=float)
     if not np.all(d >= 0):
-        raise ValueError(f"depth must be nonnegative, got {d}")
+        raise ValueError("depth must be nonnegative, got "
+                         f"{np.min(d[~(d >= 0)]):g} mm")
     return np.minimum(d / MAX_DEPTH_MM, 1.0)
+
+
+def depth_law(x, x_start, ramp_length, depth_mm):
+    """Bead depth (mm) at arena x (m); the parameters broadcast against x."""
+    u = (np.asarray(x, dtype=float) - x_start) / ramp_length
+    # clip to [0, 1]; np.clip's Python wrapper costs more than these two
+    return np.minimum(np.maximum(u, 0.0), 1.0) * depth_mm
 
 
 @dataclass(frozen=True)
 class TerrainProfile:
-    """Bead depth (mm) as a function of arena x (m): flat up to
+    """Bead depth (mm) at arena x (m) by ``depth_law``: flat up to
     ``x_start``, then a linear rise to ``depth_mm`` over ``ramp_length``.
 
-    A terrain of uniform depth has ``x_start = -inf``.  Terrains are
-    values: equal ones are one key of ``sim.blend_groups``.  Construction
+    A terrain of uniform depth has ``x_start = -inf``.  Construction
     rejects parameters outside the model's range, naming the terrain.
     """
 
@@ -147,10 +154,12 @@ class TerrainProfile:
             if not ok:
                 raise ValueError(f"terrain {self.label}: {what}")
 
+    @property
+    def law(self):  # the parameters of ``depth_law``, in order
+        return self.x_start, self.ramp_length, self.depth_mm
+
     def depth_at(self, x):
-        u = (np.asarray(x, dtype=float) - self.x_start) / self.ramp_length
-        # clip to [0, 1]; np.clip's Python wrapper costs more than these two
-        return np.minimum(np.maximum(u, 0.0), 1.0) * self.depth_mm
+        return depth_law(x, *self.law)
 
     @staticmethod
     def flat():

@@ -33,7 +33,6 @@ trial, cycle and step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -44,7 +43,7 @@ from .errors import DegenerateSupportError, SolverError
 from .gait import (BLEND_FRAC, BODY_JOINT_LIMIT, TWO_PI, BodyWave, LegId,
                    leg_contact_fraction)
 from .model import (MAX_DEPTH_MM, GroundModel, RobotModel, TerrainProfile,
-                    blend_ratio)
+                    blend_ratio, depth_law)
 
 RESIDUAL_TOL = 1e-8      # nondimensional acceptance bound per step
 NEWTON_TOL = 1e-11       # solver target, well inside the acceptance bound
@@ -54,17 +53,6 @@ ARMIJO_C1 = 1e-4         # sufficient-decrease fraction of the Armijo test
 DUAL_RADIUS = 0.99       # the Coulomb dual is kept inside this disc (< 1)
 
 STEPS_PER_CYCLE = 100    # integration steps per gait cycle
-
-
-def blend_groups(terrains):
-    """Trials grouped by terrain, given one terrain per trial:
-    ``{terrain: rows}``, so that each terrain's belly blend ratios come
-    from one depth lookup over its rows.  Terrains are values, so equal
-    terrains are one group however many objects carry them."""
-    groups = {}
-    for i, terrain in enumerate(terrains):
-        groups.setdefault(terrain, []).append(i)
-    return {terrain: np.array(rows) for terrain, rows in groups.items()}
 
 
 #: ``r[..., ::-1] * _ROT90`` turns vectors (x, y) into (-y, x).
@@ -149,7 +137,7 @@ class ContactSet:
 
 
 def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
-                   blend):
+                   law):
     """Assemble contact geometry, blend weights, and normal loads.
 
     Every contact of ``_layout(robot)`` is present at every instant: the
@@ -165,25 +153,21 @@ def build_contacts(pose, alphas, alpha_rates, cycle_phase, params, robot,
     load (and hence thrust) from the feet still on rigid ground.
 
     A batch shares ``cycle_phase`` and the gait ``params``, so its feet are
-    in stance together; ``blend`` is the ``blend_groups`` of its trials,
-    made once per batch.  A ``DegenerateSupportError`` marks the trials it
-    concerns in ``failed``.
+    in stance together; ``law`` is a terrain's ``law``, or arrays of
+    ``depth_law`` parameters of shape ``batch + (1,)``, one row per trial.
+    A ``DegenerateSupportError`` marks the trials it concerns in ``failed``.
     """
     _, cs, seg_start = _frames(pose, alphas, robot)
     seg, along, lateral, behind = _layout(robot)
     n_belly = robot.n_segments * robot.belly_elements_per_segment
     batch = cs.shape[:-2]
-    n_trials = math.prod(batch)
 
     axis = cs[..., seg, :]
     pos = seg_start[..., seg, :] - along * axis + lateral * (axis[..., ::-1]
                                                              * _ROT90)
 
     rho = np.zeros(batch + (len(seg),))
-    belly_rho = rho[..., :n_belly].reshape(n_trials, n_belly)   # a view
-    belly_x = pos[..., :n_belly, 0].reshape(n_trials, n_belly)
-    for terrain, rows in blend.items():
-        belly_rho[rows] = blend_ratio(terrain.depth_at(belly_x[rows]))
+    rho[..., :n_belly] = blend_ratio(depth_law(pos[..., :n_belly, 0], *law))
 
     # Local support: element i carries (W/n_belly)*(bf + rho_i*(1-f_gm-bf)),
     # so the belly bears bf*W on rigid ground and (1-f_gm)*W fully immersed.
@@ -599,7 +583,8 @@ def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
     n = len(trials)
     omega = params.frequency
     dt = TWO_PI / omega / spc
-    blend = blend_groups([t.terrain for t in trials])
+    law = np.reshape(np.transpose([t.terrain.law for t in trials]),
+                     (3,) + shape + (1,))
     waves = [BodyWave(replace(params, body_phase=t.phi),
                       clamp_limit=clamp_limit, blend_frac=blend_frac)
              for t in trials]
@@ -623,7 +608,7 @@ def _integrate(trials, shape, params, n_cycles, robot, ground, load_cfg,
         residual and largest power F.v of a loaded contact."""
         heading = pose[..., 2]
         contacts = build_contacts(pose, angles[..., h, :], rates[..., h, :],
-                                  (omega * t) % TWO_PI, params, robot, blend)
+                                  (omega * t) % TWO_PI, params, robot, law)
         xi, F, v, res = solve_quasistatic_velocity(
             contacts, ground, robot,
             _turn(body[..., h if c else h - 1, :], heading))
@@ -708,7 +693,8 @@ def simulate_trials(trials, n_cycles, params, robot=None, ground=None,
     batch: its ``SolverError``/``DegenerateSupportError`` is raised, naming
     its index in the batch, phase offset, terrain, cycle and step.
     """
-    trials = list(trials)
+    if not (trials := list(trials)):
+        return []
     return _integrate(trials, (len(trials),), params, n_cycles, robot, ground,
                       load_cfg, steps_per_cycle, clamp_limit, blend_frac)
 

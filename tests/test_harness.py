@@ -209,6 +209,22 @@ def test_cli_rejects_output_below_a_regular_file_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_reports_a_failed_output_write_without_traceback(tmp_path):
+    """An output file that cannot be written (here a directory stands in
+    its place) exits 2 with one error line naming it."""
+    blocker = tmp_path / "out" / "calibration.csv"
+    blocker.mkdir(parents=True)
+    src = os.path.dirname(os.path.dirname(granugait.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "granugait.cli", "calibrate", "--config",
+         _ini_for_small(tmp_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: cannot write {blocker}: Is a directory\n"
+    assert proc.stdout == ""
+
+
 def test_shipped_configs_validate():
     for name in ("default.ini", "quick.ini"):
         RunConfig.from_ini(os.path.join(CONFIGS, name))

@@ -15,7 +15,7 @@ from granugait.gait import GaitParams, LegId
 from granugait.model import (GRAVITY, GroundModel, RobotModel, TerrainProfile,
                              blend_ratio)
 from granugait.percept import LoadPipelineConfig
-from granugait.sim import (ContactSet, _layout, blend_groups, build_contacts,
+from granugait.sim import (ContactSet, _layout, build_contacts,
                            contact_forces)
 
 GM = GroundModel(rft_par=1.5, rft_perp=3.75, slip_eps=1e-4)
@@ -65,11 +65,25 @@ def test_blend_ratio_array_equals_scalar_calls():
         blend_ratio(np.array([10.0, np.nan]))
 
 
+@pytest.mark.parametrize("bad, named", [
+    ([-1.0, -3.5, -0.25], "-3.5 mm"), ([-2.0, np.nan, -5.0], "nan mm")],
+    ids=["smallest", "nan"])
+def test_blend_ratio_error_names_one_depth_not_the_array(bad, named):
+    """A rejected depth block, as large as a batch's belly rows, is named by
+    its smallest offending depth, or NaN if one is NaN; the valid depths
+    around it are not printed."""
+    d = np.full((6, 32), 12.345)
+    d[1, 3], d[2, 7], d[4, 30] = bad
+    with pytest.raises(ValueError) as err:
+        blend_ratio(d)
+    assert str(err.value) == f"depth must be nonnegative, got {named}"
+
+
 def test_belly_contacts_take_the_depth_blend():
     robot = RobotModel()
     ramp = TerrainProfile.ramp(-0.3, 0.6)      # 5 to 35 mm under the body
     c = build_contacts(np.array([0.225, 0.0, 0.0]), np.zeros(3), np.zeros(3),
-                       0.5, GaitParams(), robot, blend_groups([ramp]))
+                       0.5, GaitParams(), robot, ramp.law)
     n_belly = robot.n_segments * robot.belly_elements_per_segment
     belly = c.rho[:n_belly]
     np.testing.assert_array_equal(

@@ -19,7 +19,7 @@ from granugait.gait import (TWO_PI, BodyWave, GaitParams, LegId,
 from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait.percept import LoadPipelineConfig
 from granugait.sim import (
-    ContactSet, JOINT_NAMES, Trial, _frames, blend_groups, build_contacts,
+    ContactSet, JOINT_NAMES, Trial, _frames, build_contacts,
     compute_joint_torques, simulate_trial, simulate_trials,
 )
 
@@ -32,9 +32,12 @@ def _params(phi, stance_offset=-math.pi / 4):
     return GaitParams(body_phase=phi, stance_offset=stance_offset)
 
 
-def _on(terrain):
-    """The blend groups of one trial on ``terrain``."""
-    return blend_groups([terrain])
+def _on(*terrains):
+    """The depth-law rows ``build_contacts`` takes for trials on
+    ``terrains``: a terrain's ``law`` alone, else one row per trial."""
+    if len(terrains) == 1:
+        return terrains[0].law
+    return np.transpose([t.law for t in terrains])[..., None]
 
 
 def _run(phi=-math.pi / 3, depth=40.0, n_cycles=2, seed=7,
@@ -180,14 +183,14 @@ def test_no_foot_in_stance_fails_only_the_unsupported_trials(monkeypatch):
     monkeypatch.setattr(sim, "leg_contact_fraction", counted)
     with pytest.raises(DegenerateSupportError) as err:
         build_contacts(pose, alphas, rates, cycle_phase, HOP, robot,
-                       blend_groups(terrains))
+                       _on(*terrains))
     assert len(calls) == len(LegId)
     np.testing.assert_array_equal(err.value.failed,
                                   [False, True, False, True])
 
     keep = [0, 2]
     c = build_contacts(pose[keep], alphas[keep], rates[keep], cycle_phase,
-                       HOP, robot, blend_groups([terrains[i] for i in keep]))
+                       HOP, robot, _on(*[terrains[i] for i in keep]))
     for row, i in enumerate(keep):
         solo = build_contacts(pose[i], alphas[i], rates[i], cycle_phase, HOP,
                               robot, _on(terrains[i]))
@@ -525,68 +528,45 @@ def test_first_cycle_does_not_depend_on_the_cycle_count(index):
         assert three.cycle_phi[1] != three.cycle_phi[0]
 
 
-def test_batch_looks_up_each_shared_terrain_once_per_half_step(monkeypatch):
-    """Trials on one terrain share its depth lookup, whether they sit side
-    by side in the batch or apart: one lookup per distinct terrain.  Each
-    still equals its solo run bit for bit."""
+def test_batch_evaluates_the_depth_law_once_per_half_step(monkeypatch):
+    """One depth-law call per half step covers every trial's belly rows,
+    whatever their terrains: 40 mm, 20 mm and a ramp, some terrain objects
+    shared by several trials and some built per trial.  Each trial still
+    equals its solo run bit for bit."""
     deep, ramp = TerrainProfile.constant(40.0), TerrainProfile.ramp(0.02, 0.45)
-    mid = TerrainProfile.constant(20.0)
     trials = [Trial(-math.pi / 6, deep, seed=1), Trial(0.0, deep, seed=2),
-              Trial(-math.pi / 3, ramp, seed=3), Trial(0.0, mid),
-              Trial(-math.pi / 4, ramp, seed=4), Trial(-math.pi / 6, mid)]
-    lookups, half_steps = [], []
-    depth_at, build = TerrainProfile.depth_at, sim.build_contacts
+              Trial(-math.pi / 3, ramp, seed=3),
+              Trial(0.0, TerrainProfile.constant(20.0)),
+              Trial(-math.pi / 4, ramp, seed=4),
+              Trial(-math.pi / 6, TerrainProfile.constant(20.0)),
+              Trial(0.0, TerrainProfile.ramp(0.02, 0.45), seed=5)]
+    calls, half_steps = [], []
+    law, build = sim.depth_law, sim.build_contacts
 
-    def counted_depth_at(terrain, x):
-        lookups.append((terrain, np.shape(x)))
-        return depth_at(terrain, x)
+    def counted_law(x, *params):
+        calls.append(np.shape(x))
+        return law(x, *params)
 
     def counted_build(*args):
-        half_steps.append(len(lookups))
+        half_steps.append(len(calls))
         return build(*args)
 
-    monkeypatch.setattr(TerrainProfile, "depth_at", counted_depth_at)
+    monkeypatch.setattr(sim, "depth_law", counted_law)
     monkeypatch.setattr(sim, "build_contacts", counted_build)
     batch = simulate_trials(trials, 2, **BATCH_KW)
     monkeypatch.undo()
     assert len(half_steps) == 2 * 2 * BATCH_KW["steps_per_cycle"]
-    assert lookups == [(deep, (2, N_BELLY)), (ramp, (2, N_BELLY)),
-                       (mid, (2, N_BELLY))] * len(half_steps)
+    assert half_steps == list(range(len(half_steps)))
+    assert calls == [(len(trials), N_BELLY)] * len(half_steps)
     for trial, rec in zip(trials, batch):
         _assert_same_record(_solo(trial, 2), rec)
 
 
-def test_equal_terrains_form_one_blend_group(monkeypatch):
-    """Terrains are values: trials that each build their own 20 mm terrain
-    form one blend group, share one depth lookup per half step, and run
-    bit for bit as the same trials on one shared terrain object."""
-    phis = (-math.pi / 6, 0.0, -math.pi / 3)
-    own = [Trial(phi, TerrainProfile.constant(20.0)) for phi in phis]
-    assert len({id(t.terrain) for t in own}) == len(own)
-    groups = blend_groups([t.terrain for t in own])
-    assert len(groups) == 1
-    np.testing.assert_array_equal(groups[own[0].terrain], [0, 1, 2])
-    lookups, half_steps = [], []
-    depth_at, build = TerrainProfile.depth_at, sim.build_contacts
-
-    def counted_depth_at(terrain, x):
-        lookups.append(np.shape(x))
-        return depth_at(terrain, x)
-
-    def counted_build(*args):
-        half_steps.append(1)
-        return build(*args)
-
-    monkeypatch.setattr(TerrainProfile, "depth_at", counted_depth_at)
-    monkeypatch.setattr(sim, "build_contacts", counted_build)
-    batch = simulate_trials(own, 2, **BATCH_KW)
-    monkeypatch.undo()
-    assert len(half_steps) == 2 * 2 * BATCH_KW["steps_per_cycle"]
-    assert lookups == [(len(own), N_BELLY)] * len(half_steps)
-    shared = TerrainProfile.constant(20.0)
-    for a, b in zip(simulate_trials([Trial(phi, shared) for phi in phis], 2,
-                                    **BATCH_KW), batch):
-        _assert_same_record(a, b)
+def test_empty_batch_returns_no_records(monkeypatch):
+    """An empty batch returns no records and does no work."""
+    monkeypatch.setattr(sim, "_integrate", None)
+    assert simulate_trials([], 2, **BATCH_KW) == []
+    assert simulate_trials(iter(()), 2, **BATCH_KW) == []
 
 
 def test_batch_of_one_equals_simulate_trial():

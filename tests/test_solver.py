@@ -13,7 +13,7 @@ from granugait.model import GroundModel, RobotModel, TerrainProfile
 from granugait import sim
 from granugait.sim import (
     DUAL_RADIUS, RESIDUAL_TOL, ContactSet, _Dissipation, _newton_steps,
-    _residual, blend_groups, build_contacts, solve_quasistatic_velocity,
+    _residual, build_contacts, solve_quasistatic_velocity,
 )
 
 ROBOT = RobotModel()
@@ -33,8 +33,7 @@ def _contacts(phi=-math.pi / 3, cycle_phase=0.7, terrain=DEEP,
     pose = np.array([0.225, 0.0, 0.05])
     return build_contacts(pose, np.asarray(alphas, float),
                           np.asarray(alpha_rates, float), cycle_phase,
-                          params, robot,
-                          blend_groups([terrain]))
+                          params, robot, terrain.law)
 
 
 def _grid_oracle(contacts, gm, robot, box_v=0.5, box_w=2.0, n=50, center=None):
